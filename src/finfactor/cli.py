@@ -36,6 +36,7 @@ from .errors import (
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
+    check_dimension_cap,
     load_matrix,
     matrix_from_doc,
     matrix_to_doc,
@@ -67,23 +68,22 @@ def _emit_json(doc) -> None:
 
 
 def _config(args) -> ToleranceConfig:
+    def flag(name, default):
+        value = getattr(args, name, None)
+        return default if value is None else value
+
     return ToleranceConfig(
-        zero_block_eta=getattr(args, "eta", None) or DEFAULT_TOL.zero_block_eta,
-        structural_tol=getattr(args, "structural_tol", None) or DEFAULT_TOL.structural_tol,
-        span_tol=getattr(args, "span_tol", None) or DEFAULT_TOL.span_tol,
+        zero_block_eta=flag("eta", DEFAULT_TOL.zero_block_eta),
+        structural_tol=flag("structural_tol", DEFAULT_TOL.structural_tol),
+        span_tol=flag("span_tol", DEFAULT_TOL.span_tol),
     )
 
 
 def _load_tuple(paths) -> sparsity.GeneratorTuple:
-    from .matrix_core import dimension_cap
-
     mats = [load_matrix(p) for p in paths]
     labels = [Path(p).stem for p in paths]
     tup = sparsity.GeneratorTuple.of(mats, labels=labels)
-    if tup.ambient_dim > dimension_cap():
-        raise DimensionOverflow(
-            f"ambient dimension {tup.ambient_dim} exceeds cap {dimension_cap()}"
-        )
+    check_dimension_cap(tup.ambient_dim)
     return tup
 
 
@@ -277,7 +277,8 @@ def cmd_pipeline(args) -> int:
     tup = _load_tuple(args.inputs)
     n = tup.ambient_dim
     if args.units:
-        sys = _units_from_doc(json.load(open(args.units, encoding="utf-8")))
+        with open(args.units, encoding="utf-8") as fh:
+            sys = _units_from_doc(json.load(fh))
     else:
         k = args.units_k or n
         if n % k:

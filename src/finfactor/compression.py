@@ -45,7 +45,7 @@ from .matrix_core import (
     self_adjoint_residual,
     sqrt_clipped,
 )
-from .matrix_units import MatrixUnitSystem
+from .matrix_units import MatrixUnitSystem, shift_pair
 from .sparsity import (
     GeneratorTuple,
     block_pattern,
@@ -81,7 +81,11 @@ class CutPasteResult:
     norm_rescale: float
     labels: tuple
     algebra_dim_inputs: int
-    algebra_dim_output: int
+    q_algebra: star_algebra.AlgebraBasis  # verified algebra of {q} + units
+
+    @property
+    def algebra_dim_output(self) -> int:
+        return self.q_algebra.dim
 
     @property
     def rect_width(self) -> int:
@@ -91,6 +95,12 @@ class CutPasteResult:
 def _require_full(sys: MatrixUnitSystem, cfg: ToleranceConfig):
     if not sys.is_full(cfg):
         raise SupportMismatch("compression requires a full unit system (sum e_jj = I)")
+
+
+def _rectangle_projections(sys: MatrixUnitSystem, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row projection q1 = sum of e_jj for j < width and column projection
+    q2 = sum of e_jj for width <= j < 2*width of the target rectangle."""
+    return sys.diagonal_sum(0, width), sys.diagonal_sum(width, 2 * width)
 
 
 def cut_and_paste(
@@ -142,8 +152,7 @@ def cut_and_paste(
     rescale = max(1.0, operator_norm(y_raw) * (1.0 + _RESCALE_MARGIN))
     y = y_raw / rescale
 
-    q1 = units[range(width), range(width)].sum(axis=0)
-    q2 = units[range(width, 2 * width), range(width, 2 * width)].sum(axis=0)
+    q1, q2 = _rectangle_projections(sys, width)
     eye = identity(n)
     f = hermitian_function(eye - y @ y, sqrt_clipped, cfg)
     q = 0.5 * (q1 @ (eye + f) @ q1) + 0.5 * y + 0.5 * (q2 @ (eye - f) @ q2)
@@ -182,7 +191,7 @@ def cut_and_paste(
         norm_rescale=rescale,
         labels=tup.labels,
         algebra_dim_inputs=before.dim,
-        algebra_dim_output=after.dim,
+        q_algebra=after,
     )
 
 
@@ -205,8 +214,7 @@ def recover_elements(res: CutPasteResult, sys: MatrixUnitSystem) -> GeneratorTup
         seen_targets.add((s, t))
 
     units = sys.units
-    q1 = units[range(width), range(width)].sum(axis=0)
-    q2 = units[range(width, 2 * width), range(width, 2 * width)].sum(axis=0)
+    q1, q2 = _rectangle_projections(sys, width)
     b = 2.0 * (q1 @ res.q @ q2)
 
     recovered = [np.zeros((n, n), dtype=np.complex128) for _ in range(n_elements)]
@@ -243,13 +251,11 @@ def single_generator_pair(
     j0 = int(np.nonzero(~mask)[0][0])
 
     perm = [(j0 + i) % k for i in range(k)]
-    relabeled = sys.units[np.ix_(perm, perm)]
-    x1 = relabeled[0, 0] + 2.0 * q
-    x2 = np.zeros_like(x1)
-    for i in range(k - 1):
-        step = relabeled[i, i + 1]
-        x2 = x2 + step + step.conj().T
-    return x1, x2
+    relabeled = MatrixUnitSystem(
+        ambient_dim=sys.ambient_dim, k=k, units=sys.units[np.ix_(perm, perm)]
+    )
+    e11, shift = shift_pair(relabeled)
+    return e11 + 2.0 * q, shift
 
 
 def fuse(
@@ -339,7 +345,7 @@ def pipeline(
         "single_generator_pair", lambda: single_generator_pair(res.q, sys, cfg)
     )
     pair_algebra = star_algebra.generate([x1, x2], cfg)
-    q_algebra = star_algebra.generate([res.q] + sys.unit_list(), cfg)
+    q_algebra = res.q_algebra
     if not star_algebra.equal(q_algebra, pair_algebra, cfg):
         raise NumericalFailure(
             f"[single_generator_pair] pair algebra dim {pair_algebra.dim} "

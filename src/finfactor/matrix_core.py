@@ -71,6 +71,13 @@ def dimension_cap() -> int:
     return cap
 
 
+def check_dimension_cap(n: int) -> None:
+    """Raise DimensionOverflow when ambient dimension n exceeds the cap."""
+    cap = dimension_cap()
+    if n > cap:
+        raise DimensionOverflow(f"ambient dimension {n} exceeds cap {cap}")
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce to a square complex128 array; reject non-square or non-finite input."""
     a = np.asarray(x, dtype=np.complex128)

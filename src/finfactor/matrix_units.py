@@ -9,20 +9,16 @@ system is "full" when the support is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOverflow,
-    SupportMismatch,
-    SystemTooSmall,
-)
+from .errors import DimensionMismatch, SupportMismatch, SystemTooSmall
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
-    dimension_cap,
+    check_dimension_cap,
     frobenius_norm,
     identity,
     normalized_trace,
@@ -42,7 +38,12 @@ class MatrixUnitSystem:
     @property
     def support(self) -> np.ndarray:
         """Sum of the diagonal units; a projection for a valid system."""
-        return self.units[np.arange(self.k), np.arange(self.k)].sum(axis=0)
+        return self.diagonal_sum(0, self.k)
+
+    def diagonal_sum(self, lo: int, hi: int) -> np.ndarray:
+        """Sum of the diagonal units e_jj for lo <= j < hi (0-based)."""
+        idx = np.arange(lo, hi)
+        return self.units[idx, idx].sum(axis=0)
 
     def diagonal_projections(self) -> np.ndarray:
         """Stack (k, n, n) of the diagonal units e_jj."""
@@ -78,8 +79,7 @@ def amplified_units(k: int, copies: int) -> MatrixUnitSystem:
     if k < 1 or copies < 1:
         raise SystemTooSmall(f"need k >= 1 and copies >= 1, got {k}, {copies}")
     n = k * copies
-    if n > dimension_cap():
-        raise DimensionOverflow(f"ambient dimension {n} exceeds cap {dimension_cap()}")
+    check_dimension_cap(n)
     eye = np.eye(copies, dtype=np.complex128)
     units = np.zeros((k, k, n, n), dtype=np.complex128)
     for i in range(k):
@@ -182,8 +182,7 @@ def tensor_units(a: MatrixUnitSystem, b: MatrixUnitSystem) -> MatrixUnitSystem:
     """Composite system of size k_a*k_b with units e_ij (x) f_st, indexed
     lexicographically by (outer, inner)."""
     n = a.ambient_dim * b.ambient_dim
-    if n > dimension_cap():
-        raise DimensionOverflow(f"ambient dimension {n} exceeds cap {dimension_cap()}")
+    check_dimension_cap(n)
     k = a.k * b.k
     units = np.zeros((k, k, n, n), dtype=np.complex128)
     for i in range(a.k):
@@ -244,6 +243,21 @@ def nested_product(
     return acc
 
 
+def placed_units(
+    sizes: list[int],
+    level: int,
+    pre: Callable[[int], np.ndarray],
+) -> MatrixUnitSystem:
+    """System of size sizes[level] in M_{prod(sizes)} with units
+    pre(sizes[0]) (x) ... (x) pre(sizes[level-1]) (x) e_st (x) I (x) ... (x) I:
+    every factor before the level holds the fixed matrix pre(size)."""
+    m = sizes[level]
+    head = reduce(np.kron, [pre(d) for d in sizes[:level]], np.ones((1, 1), dtype=np.complex128))
+    tail = identity(int(np.prod(sizes[level + 1 :])))
+    units = np.kron(np.kron(head[None, None], standard_units(m).units), tail[None, None])
+    return MatrixUnitSystem(ambient_dim=units.shape[2], k=m, units=units)
+
+
 def corner_chain(sizes: list[int]) -> list[MatrixUnitSystem]:
     """Canonical nested chain in M_{prod(sizes)}: level L is the size-m_L
     system supported on the (2,...,2) corner of the preceding levels."""
@@ -253,20 +267,6 @@ def corner_chain(sizes: list[int]) -> list[MatrixUnitSystem]:
         raise SystemTooSmall(f"sizes must be positive, got {sizes}")
     if any(m < 2 for m in sizes[:-1]):
         raise SystemTooSmall(f"all sizes before the last must be >= 2, got {sizes}")
-    n = int(np.prod(sizes))
-    if n > dimension_cap():
-        raise DimensionOverflow(f"ambient dimension {n} exceeds cap {dimension_cap()}")
-
-    def chain_kron(mats):
-        return reduce(np.kron, mats)
-
-    chain = []
-    for level, m in enumerate(sizes):
-        pre = [unit_matrix(sizes[p], 1, 1) for p in range(level)]
-        post = [identity(sizes[p]) for p in range(level + 1, len(sizes))]
-        units = np.zeros((m, m, n, n), dtype=np.complex128)
-        for s in range(m):
-            for t in range(m):
-                units[s, t] = chain_kron(pre + [unit_matrix(m, s, t)] + post)
-        chain.append(MatrixUnitSystem(ambient_dim=n, k=m, units=units))
-    return chain
+    check_dimension_cap(int(np.prod(sizes)))
+    corner = partial(unit_matrix, i=1, j=1)
+    return [placed_units(sizes, level, corner) for level in range(len(sizes))]

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DimensionOverflow,
     FactorTooSmall,
     NotDivisible,
     RankMismatch,
@@ -33,7 +31,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
-    dimension_cap,
+    check_dimension_cap,
     direct_sum,
     frobenius_norm,
     identity,
@@ -41,9 +39,8 @@ from .matrix_core import (
     projection_residual,
     random_hermitian,
     same_dim,
-    unit_matrix,
 )
-from .matrix_units import MatrixUnitSystem
+from .matrix_units import MatrixUnitSystem, corner_chain, placed_units, shift_pair
 
 __all__ = [
     "ProjectionFamily",
@@ -263,8 +260,7 @@ def interaction_index(
         pat = block_pattern(x, fam, cfg)
         patterns.append(pat)
         total += pat.count
-        _, mask = _support_mask(x, fam, cfg)
-        touched |= mask
+        touched |= support_mask(x, fam, cfg)
     return SparsityReport(
         k=fam.k,
         ambient_dim=fam.ambient_dim,
@@ -290,10 +286,6 @@ def support_mask(
     return (row > threshold) | (col > threshold)
 
 
-def _support_mask(x, fam, cfg):
-    return fam.projections, support_mask(x, fam, cfg)
-
-
 def support(
     x: np.ndarray,
     fam: ProjectionFamily,
@@ -304,7 +296,7 @@ def support(
     x = as_matrix(x)
     if x.shape[0] != fam.ambient_dim:
         raise DimensionMismatch("element dimension does not match family")
-    p, mask = _support_mask(x, fam, cfg)
+    p, mask = fam.projections, support_mask(x, fam, cfg)
     proj = p[mask].sum(axis=0) if mask.any() else np.zeros_like(p[0])
     return proj, Fraction(int(mask.sum()), fam.k)
 
@@ -513,10 +505,6 @@ def align_families(
 # --- explicit low-index generator pair -------------------------------------------
 
 
-def _kron_chain(mats):
-    return reduce(np.kron, mats)
-
-
 def hyperfinite_pair(
     dims,
     weights: tuple[float, float] = (0.5, 1.0 / 3.0),
@@ -536,44 +524,19 @@ def hyperfinite_pair(
         raise FactorTooSmall("at least one factor dimension is required")
     if any(d < 3 for d in dims):
         raise FactorTooSmall(f"all factor dimensions must be >= 3, got {dims}")
-    total = int(np.prod(dims))
-    if total > dimension_cap():
-        raise DimensionOverflow(f"ambient dimension {total} exceeds cap {dimension_cap()}")
+    check_dimension_cap(int(np.prod(dims)))
     w1, w2 = weights
     if not (0.0 < abs(w1) and 0.0 < abs(w2)):
         raise ValueError("weights must be nonzero")
     m = len(dims)
 
-    def shift(d):
-        s = np.zeros((d, d), dtype=np.complex128)
-        for i in range(d - 1):
-            s[i, i + 1] = 1.0
-            s[i + 1, i] = 1.0
-        return s
-
-    def placed(level, mat):
-        pre = [unit_matrix(dims[p], 1, 1) for p in range(level)]
-        post = [identity(dims[p]) for p in range(level + 1, m)]
-        return _kron_chain(pre + [mat] + post)
-
-    x1 = placed(0, unit_matrix(dims[0], 0, 0))
+    corners = corner_chain(dims)
+    x1 = corners[0].units[0, 0]
+    x2 = shift_pair(corners[0])[1]
     for level in range(1, m):
-        x1 = x1 + (w1 ** level) * placed(level, unit_matrix(dims[level], 0, 0))
-    x1 = x1 + (w1 ** m) * _kron_chain([unit_matrix(d, 1, 1) for d in dims])
+        x1 = x1 + (w1 ** level) * corners[level].units[0, 0]
+        x2 = x2 + (w2 ** level) * shift_pair(corners[level])[1]
+    x1 = x1 + (w1 ** m) * corners[-1].units[1, 1]
 
-    x2 = placed(0, shift(dims[0]))
-    for level in range(1, m):
-        x2 = x2 + (w2 ** level) * placed(level, shift(dims[level]))
-
-    tower = []
-    for level, d in enumerate(dims):
-        pre_dim = int(np.prod(dims[:level])) if level else 1
-        post_dim = int(np.prod(dims[level + 1 :])) if level + 1 < m else 1
-        units = np.zeros((d, d, total, total), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                units[i, j] = _kron_chain(
-                    [identity(pre_dim), unit_matrix(d, i, j), identity(post_dim)]
-                )
-        tower.append(MatrixUnitSystem(ambient_dim=total, k=d, units=units))
+    tower = [placed_units(dims, level, identity) for level in range(m)]
     return x1, x2, tower

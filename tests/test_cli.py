@@ -138,6 +138,8 @@ class TestPipeline:
         assert "stage cut_and_paste" in out
         assert "final algebra dim: 64" in out
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_units_bundle_input(self, capsys, tmp_path):
         main(["demo", "nested-units", "--sizes", "2,3", "--out", str(tmp_path)])
         capsys.readouterr()
@@ -152,6 +154,11 @@ class TestPipeline:
 
     def test_units_k_divisor_check(self, capsys, block_file):
         assert main(["pipeline", block_file, "--units-k", "3"]) == 2
+
+    def test_dimension_cap_exits_two(self, capsys, monkeypatch, block_file):
+        monkeypatch.setenv("FINFACTOR_DIM_CAP", "4")
+        assert main(["pipeline", block_file]) == 2
+        assert "ambient dimension 8 exceeds cap 4" in capsys.readouterr().err
 
 
 class TestVerifyAll:
@@ -182,3 +189,8 @@ class TestParser:
 
     def test_missing_required_flag_is_usage_error(self, shift_files):
         assert main(["sparsity", *shift_files]) == 1
+
+    @pytest.mark.parametrize("flag", ["--eta", "--structural-tol", "--span-tol"])
+    def test_zero_tolerance_is_rejected(self, capsys, flag):
+        assert main(["demo", "shift", "--k", "3", flag, "0"]) == 1
+        assert "must lie strictly between 0 and 1" in capsys.readouterr().err

@@ -26,7 +26,9 @@ from finfactor.errors import (
     NotSelfAdjoint,
     SupportTooLarge,
 )
+from finfactor import star_algebra
 from finfactor.matrix_core import projection_residual, random_matrix
+from finfactor.sparsity import family_from_units, support_mask
 
 
 def sparse_element(n, cells, rng=None, value=1.0):
@@ -187,6 +189,19 @@ class TestSingleGeneratorPair:
         with pytest.raises(SupportTooLarge):
             single_generator_pair(q, sys)
 
+    def test_equals_relabeled_corner_and_shift_exactly(self):
+        sys = standard_units(8)
+        q = cut_and_paste([sparse_element(8, [(2, 3), (5, 0)], value=0.75 - 0.25j)], sys).q
+        free = np.nonzero(~support_mask(q, family_from_units(sys)))[0]
+        perm = [(int(free[0]) + i) % 8 for i in range(8)]
+        e = sys.units
+        shift = np.zeros((8, 8), dtype=complex)
+        for a, b in zip(perm, perm[1:]):
+            shift = shift + e[a, b] + e[b, a]
+        x1, x2 = single_generator_pair(q, sys)
+        assert np.array_equal(x1, e[perm[0], perm[0]] + 2.0 * q)
+        assert np.array_equal(x2, shift)
+
     def test_pipeline_projection_from_compression(self):
         sys = standard_units(8)
         x = sparse_element(8, [(2, 3)])
@@ -245,6 +260,19 @@ class TestPipeline:
         stage1 = rep.stages[0]
         assert stage1.bounds["block_count"] == 23
         assert stage1.algebra_dims == {"before": 144, "after": 144}
+
+    def test_reuses_the_verified_q_algebra(self, monkeypatch):
+        # inputs+units, q+units, the pair and the fused element: one closure each
+        calls = []
+        real = star_algebra.generate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(star_algebra, "generate", counting)
+        pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
+        assert len(calls) == 4
 
     def test_report_serializes(self):
         rep = pipeline([sparse_element(8, [(2, 3)])], standard_units(8))

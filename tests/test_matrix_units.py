@@ -133,6 +133,15 @@ class TestTensorUnits:
         with pytest.raises(DimensionOverflow):
             tensor_units(standard_units(2), standard_units(3))
 
+    @pytest.mark.parametrize(
+        "build", [lambda: amplified_units(4, 3), lambda: corner_chain([3, 4])],
+        ids=["amplified_units", "corner_chain"],
+    )
+    def test_builder_cap(self, monkeypatch, build):
+        monkeypatch.setenv("FINFACTOR_DIM_CAP", "8")
+        with pytest.raises(DimensionOverflow, match="ambient dimension 12 exceeds cap 8"):
+            build()
+
 
 class TestNestedProduct:
     def test_single_chain_unchanged(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -364,6 +365,35 @@ class TestHyperfinitePair:
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "8")
         with pytest.raises(Exception):
             hyperfinite_pair([3, 3])
+
+    @pytest.mark.parametrize("dims", [[3], [4, 3], [3, 3, 3]])
+    def test_matches_kronecker_formula_exactly(self, dims):
+        w1, w2 = 0.5, 1.0 / 3.0
+        m = len(dims)
+
+        def shift(d):
+            return sum(unit_matrix(d, i, i + 1) + unit_matrix(d, i + 1, i) for i in range(d - 1))
+
+        def at(level, mat, pre):
+            factors = [pre(d) for d in dims[:level]] + [mat]
+            return reduce(np.kron, factors + [identity(d) for d in dims[level + 1 :]])
+
+        def corner(d):
+            return unit_matrix(d, 1, 1)
+
+        x1 = sum(w1 ** L * at(L, unit_matrix(dims[L], 0, 0), corner) for L in range(m))
+        x1 = x1 + w1 ** m * reduce(np.kron, [corner(d) for d in dims])
+        x2 = sum(w2 ** L * at(L, shift(dims[L]), corner) for L in range(m))
+
+        got1, got2, tower = hyperfinite_pair(dims, weights=(w1, w2))
+        assert np.array_equal(got1, x1)
+        assert np.array_equal(got2, x2)
+        assert [sys.k for sys in tower] == dims
+        for L, sys in enumerate(tower):
+            d = dims[L]
+            for i in range(d):
+                for j in range(d):
+                    assert np.array_equal(sys.units[i, j], at(L, unit_matrix(d, i, j), identity))
 
 
 class TestFamilyValidation:
