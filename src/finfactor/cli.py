@@ -280,7 +280,9 @@ def cmd_pipeline(args) -> int:
         with open(args.units, encoding="utf-8") as fh:
             sys = _units_from_doc(json.load(fh))
     else:
-        k = args.units_k or n
+        k = n if args.units_k is None else args.units_k
+        if k < 1:
+            raise ValueError(f"--units-k must be a positive integer, got {k}")
         if n % k:
             raise NotDivisible(f"--units-k {k} does not divide ambient dimension {n}")
         sys = matrix_units.amplified_units(k, n // k)

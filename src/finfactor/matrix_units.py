@@ -133,9 +133,9 @@ def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSys
 
     product_res = 0.0
     for l in range(k):
-        left = u[:, l]                       # e_il, i = 0..k-1
+        left = u[:, l, None]                 # e_il, i = 0..k-1
         for m in range(k):
-            prods = np.einsum("iab,jbc->ijac", left, u[m])
+            prods = np.matmul(left, u[m][None])
             diff = prods - u if l == m else prods
             worst = float(np.linalg.norm(diff.reshape(k * k, -1), axis=1).max())
             product_res = max(product_res, worst)

@@ -238,7 +238,7 @@ def block_pattern(
         raise DimensionMismatch("element dimension does not match family")
     p = fam.projections
     left = p @ x                                  # (k, n, n)
-    blocks = np.einsum("iab,jbc->ijac", left, p)  # (k, k, n, n)
+    blocks = np.matmul(left[:, None], p[None])    # (k, k, n, n)
     norms = np.linalg.norm(blocks.reshape(fam.k, fam.k, -1), axis=2)
     threshold = cfg.zero_block_eta * frobenius_norm(x)
     return BlockPattern(k=fam.k, bits=norms > threshold)
@@ -281,7 +281,7 @@ def support_mask(
     """Boolean mask over family members meeting x on either side."""
     p = fam.projections
     row = np.linalg.norm((p @ x).reshape(fam.k, -1), axis=1)
-    col = np.linalg.norm(np.einsum("ab,kbc->kac", x, p).reshape(fam.k, -1), axis=1)
+    col = np.linalg.norm((x @ p).reshape(fam.k, -1), axis=1)
     threshold = cfg.zero_block_eta * frobenius_norm(x)
     return (row > threshold) | (col > threshold)
 
@@ -436,6 +436,8 @@ def minimize_index(
     """
     tup = _as_tuple(xs)
     n = tup.ambient_dim
+    if k < 1:
+        raise NotDivisible(f"family size k must be a positive divisor of n={n}, got k={k}")
     if n % k:
         raise NotDivisible(f"k={k} does not divide the ambient dimension n={n}")
     if strategy not in STRATEGIES:

@@ -38,8 +38,11 @@ class _SpanBuilder:
     """Growing orthonormal span with the relative-residual admission rule.
 
     A candidate joins the basis iff its residual after projection exceeds
-    span_tol times the candidate's original Frobenius norm (modified
-    Gram-Schmidt with re-orthogonalization).
+    span_tol times the candidate's original Frobenius norm. A block is
+    projected off the span held at entry with two classical Gram-Schmidt
+    passes (CGS2); each survivor is then orthogonalized, twice, against the
+    rows admitted earlier in the same block and tested on its own. The rows
+    a block admits get one more pass off the entry span.
     """
 
     def __init__(self, n: int, tol: float):
@@ -59,34 +62,43 @@ class _SpanBuilder:
     def q(self) -> np.ndarray:
         return self._rows[: self.dim]
 
+    def _project_off(self, C: np.ndarray, dim: int) -> np.ndarray:
+        """C minus its projection onto the first dim rows of the span."""
+        if not dim:
+            return C
+        Q = self._rows[:dim]
+        return C - (C @ Q.conj().T) @ Q
+
     def absorb(self, cands: np.ndarray) -> int:
         """Absorb a stack of candidate vectors (m, N); returns count admitted."""
+        start = self.dim
         C = np.ascontiguousarray(cands, dtype=np.complex128)
-        norms0 = np.linalg.norm(C, axis=1)
-        if self.dim:
-            Q = self.q()
-            R = C - (C @ Q.conj().T) @ Q
-        else:
-            R = C
-        res = np.linalg.norm(R, axis=1)
-        candidates = np.nonzero(res > self.tol * norms0)[0]
-        added = 0
-        for row in candidates:
-            v = R[row]
-            # re-orthogonalize against the full current span (twice)
+        bars = self.tol * np.linalg.norm(C, axis=1)
+        R = self._project_off(C, start)
+        survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
+        if not survivors.size:
+            return 0
+        R = self._project_off(R[survivors], start)
+        for v, bar in zip(R, bars[survivors]):
+            # R is orthogonal to the entry span; only this call's rows remain
             for _ in range(2):
-                Q = self.q()
-                if self.dim:
-                    v = v - (np.conj(Q) @ v) @ Q
+                if self.dim > start:
+                    Q = self._rows[start : self.dim]
+                    v = v - np.conj(Q @ v.conj()) @ Q
             r = float(np.linalg.norm(v))
-            if r > self.tol * norms0[row]:
+            if r > bar:
                 self._grow()
                 self._rows[self.dim] = v / r
                 self.dim += 1
-                added += 1
                 if self.dim == self.N:
                     break
-        return added
+        if start and self.dim > start:
+            # R is orthogonal to the entry span only to eps times its norm; a
+            # row that then cancelled against this call's rows was scaled up by
+            # the cancellation factor, so the new rows get one more pass
+            new = self._rows[start : self.dim]
+            new[:] = self._project_off(new, start)
+        return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:
         n = self.n
@@ -94,6 +106,17 @@ class _SpanBuilder:
 
 
 _PRODUCT_CHUNK = 1024
+
+
+def _new_products(basis: np.ndarray, done: int):
+    """Products basis[i] @ basis[j] with i >= done or j >= done, flattened to
+    rows in (i, j) order and yielded in blocks of at most _PRODUCT_CHUNK."""
+    dim, n = basis.shape[0], basis.shape[1]
+    for i in range(dim):
+        lo = done if i < done else 0
+        products = np.matmul(basis[i], basis[lo:]).reshape(dim - lo, n * n)
+        for c in range(0, dim - lo, _PRODUCT_CHUNK):
+            yield products[c : c + _PRODUCT_CHUNK]
 
 
 def generate(
@@ -104,9 +127,11 @@ def generate(
     """Smallest unital *-algebra containing the generators.
 
     Seeds the span with I, the generators, and their adjoints, then repeatedly
-    multiplies all current basis pairs and absorbs new directions until the
-    span is stable. An empty generator list yields the scalars (ambient_dim
-    must then be given). Stops early once the span is all of M_n.
+    multiplies basis pairs and absorbs new directions until the span is
+    stable. A round forms only the products with at least one factor added in
+    the previous round (semi-naive closure): older pairs were absorbed then.
+    An empty generator list yields the scalars (ambient_dim must then be
+    given). Stops early once the span is all of M_n.
     """
     gens = [as_matrix(g) for g in generators]
     if gens:
@@ -125,21 +150,17 @@ def generate(
     seed = [identity(n)] + gens + [g.conj().T for g in gens]
     builder.absorb(np.stack([m.reshape(N) for m in seed]))
 
+    done = 0  # every product of two of the first `done` rows is already absorbed
     while builder.dim < N:
         start_dim = builder.dim
         basis = builder.q().reshape(start_dim, n, n)
-        stop = False
-        for i in range(start_dim):
-            products = np.matmul(basis[i], basis).reshape(start_dim, N)
-            for lo in range(0, start_dim, _PRODUCT_CHUNK):
-                builder.absorb(products[lo : lo + _PRODUCT_CHUNK])
-                if builder.dim == N:
-                    stop = True
-                    break
-            if stop:
+        for chunk in _new_products(basis, done):
+            builder.absorb(chunk)
+            if builder.dim == N:
                 break
-        if stop or builder.dim == start_dim:
+        if builder.dim == start_dim:
             break
+        done = start_dim
 
     return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
 
@@ -168,13 +189,13 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     """
     n, gens = _generator_list(a, cfg)
     N = n * n
-    eye = np.eye(n)
-    blocks = []
-    seen = gens + [g.conj().T for g in gens]
-    for g in seen:
-        # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v
-        blocks.append(np.kron(eye, g.T) - np.kron(g, eye))
-    stacked = np.vstack(blocks)
+    eye = np.eye(n, dtype=np.complex128)
+    seen = np.stack(gens + [g.conj().T for g in gens])
+    # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
+    # [m, i, j, k, l] is row (i, j), column (k, l) of the block for seen[m]
+    stacked = eye[None, :, None, :, None] * seen.transpose(0, 2, 1)[:, None, :, None, :]
+    stacked -= seen[:, :, None, :, None] * eye[None, None, :, None, :]
+    stacked = stacked.reshape(len(seen) * N, N)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = float(svals[0]) if len(svals) else 0.0
     null_mask = svals <= cfg.span_tol * max(1.0, smax)

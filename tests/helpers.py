@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values, kept deliberately
 separate from the library's algorithms: closure dimension via greedy rank
-selection with matrix_rank, and block counts via direct submatrix slicing."""
+selection with matrix_rank, block counts via direct submatrix slicing, and
+the unblocked closure engine as the differential reference for generate."""
 
 import numpy as np
 
@@ -33,6 +34,63 @@ def closure_dim_oracle(generators, n):
         if len(new_basis) == len(basis):
             return len(basis)
         basis = new_basis
+
+
+class ReferenceSpan:
+    """Per-row span builder with the relative-residual admission rule: one
+    projection of the block off the span as a prefilter, then each survivor
+    re-orthogonalized twice against the whole current span and admitted iff
+    its residual exceeds tol times its original norm."""
+
+    def __init__(self, N, tol=DEFAULT_TOL.span_tol):
+        self.rows = np.zeros((0, N), dtype=complex)
+        self.tol = tol
+
+    @property
+    def dim(self):
+        return self.rows.shape[0]
+
+    def absorb(self, cands):
+        C = np.asarray(cands, dtype=complex)
+        norms0 = np.linalg.norm(C, axis=1)
+        Q = self.rows
+        R = C - (C @ Q.conj().T) @ Q
+        added = 0
+        for row in np.nonzero(np.linalg.norm(R, axis=1) > self.tol * norms0)[0]:
+            v = R[row]
+            for _ in range(2):
+                v = v - (np.conj(self.rows) @ v) @ self.rows
+            r = float(np.linalg.norm(v))
+            if r > self.tol * norms0[row]:
+                self.rows = np.vstack([self.rows, v / r])
+                added += 1
+                if self.dim == C.shape[1]:
+                    break
+        return added
+
+
+def reference_closure_dim(generators, n):
+    """Closure dimension by the all-pairs engine: every round multiplies every
+    pair of current basis rows, in (i, j) order and blocks of at most 1024
+    per i, and absorbs them with ReferenceSpan until a round adds nothing."""
+    N = n * n
+    chunk = 1024
+    span = ReferenceSpan(N)
+    seed = [np.eye(n, dtype=complex)] + [np.asarray(g, dtype=complex) for g in generators]
+    seed += [np.asarray(g, dtype=complex).conj().T for g in generators]
+    span.absorb(np.stack([m.reshape(N) for m in seed]))
+    while span.dim < N:
+        start = span.dim
+        basis = span.rows.reshape(start, n, n)
+        for i in range(start):
+            products = np.matmul(basis[i], basis).reshape(start, N)
+            for lo in range(0, start, chunk):
+                span.absorb(products[lo : lo + chunk])
+                if span.dim == N:
+                    return N
+        if span.dim == start:
+            break
+    return span.dim
 
 
 def grouping_block_count(x, groups, eta=DEFAULT_TOL.zero_block_eta):

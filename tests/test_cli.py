@@ -106,6 +106,11 @@ class TestSparsity:
     def test_non_divisor_exits_two(self, capsys, shift_files):
         assert main(["sparsity", *shift_files, "--k", "3"]) == 2
 
+    def test_zero_k_exits_two_with_one_line(self, capsys, shift_files):
+        assert main(["sparsity", *shift_files, "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated:") and err.count("\n") == 1
+
     def test_seeded_runs_are_byte_identical(self, capsys, shift_files):
         argv = ["sparsity", *shift_files, "--k", "2", "--seed", "7", "--json"]
         main(argv)
@@ -154,6 +159,10 @@ class TestPipeline:
 
     def test_units_k_divisor_check(self, capsys, block_file):
         assert main(["pipeline", block_file, "--units-k", "3"]) == 2
+
+    def test_zero_units_k_is_usage_error(self, capsys, block_file):
+        assert main(["pipeline", block_file, "--units-k", "0"]) == 1
+        assert "--units-k must be a positive integer" in capsys.readouterr().err
 
     def test_dimension_cap_exits_two(self, capsys, monkeypatch, block_file):
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "4")

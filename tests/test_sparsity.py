@@ -237,6 +237,11 @@ class TestMinimizeIndex:
         with pytest.raises(NotDivisible):
             minimize_index([identity(4)], 3)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_k_is_rejected(self, k):
+        with pytest.raises(NotDivisible, match="positive divisor"):
+            minimize_index([identity(4)], k)
+
     def test_unknown_strategy(self):
         with pytest.raises(UnknownStrategy):
             minimize_index([identity(4)], 2, strategy="anneal")

@@ -14,8 +14,14 @@ from finfactor import (
 )
 from finfactor.errors import DimensionMismatch
 from finfactor.matrix_core import random_hermitian, random_matrix, random_unitary
+from finfactor.star_algebra import _SpanBuilder
 
-from helpers import basis_invariant_residuals, closure_dim_oracle
+from helpers import (
+    ReferenceSpan,
+    basis_invariant_residuals,
+    closure_dim_oracle,
+    reference_closure_dim,
+)
 
 
 def sym_shift(n):
@@ -153,3 +159,91 @@ class TestGenerateStructure:
     def test_full_units_close_to_full_algebra(self):
         units = standard_units(3).unit_list()
         assert equal(generate(units), full_matrix_basis(3))
+
+
+def _cgauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _candidate_blocks(rng, N):
+    """Seeded candidate blocks that stress the admission rule."""
+    base = _cgauss(rng, (5, N))
+    dominant = []
+    for _ in range(8):
+        u = _cgauss(rng, N)
+        dominant.append(3e7 * (_cgauss(rng, 5) @ base) + u)
+        dominant.extend(_cgauss(rng, 5) @ base + c * u for c in _cgauss(rng, 6))
+    return {
+        "dense": _cgauss(rng, (3 * N // 2, N)),
+        "rank_deficient": _cgauss(rng, (12, 3)) @ _cgauss(rng, (3, N)),
+        "duplicates": np.repeat(_cgauss(rng, (4, N)), 3, axis=0),
+        "in_span_plus_noise": _cgauss(rng, (8, 5)) @ base + 1e-9 * _cgauss(rng, (8, N)),
+        "rescaled": _cgauss(rng, (10, N)) * 10.0 ** rng.choice([-6, 6], size=(10, 1)),
+        # admitted, but only 1e-6 away from the span or from each other: one
+        # Gram-Schmidt pass leaves them visibly non-orthogonal, and their new
+        # directions are known only to about eps / 1e-6
+        "near_span": _cgauss(rng, (6, 5)) @ base + 1e-6 * _cgauss(rng, (6, N)),
+        "near_duplicates": np.repeat(_cgauss(rng, (3, N)), 3, axis=0)
+        + 1e-6 * _cgauss(rng, (9, N)),
+        # a new direction u under a 3e7 times larger in-span part, then rows in
+        # span(base, u): a single pass off the span leaves eps * 3e7 of it in
+        # u, which would carry the later rows over the threshold
+        "dominant_span": np.vstack(dominant),
+    }, base
+
+
+class TestBlockedAbsorb:
+    """The blocked CGS2 absorb against the per-row reference builder."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "dense",
+            "rank_deficient",
+            "duplicates",
+            "in_span_plus_noise",
+            "rescaled",
+            "near_span",
+            "near_duplicates",
+            "dominant_span",
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_admissions_and_span(self, case, seed):
+        span_tol = 1e-9 if case.startswith("near") else 1e-12
+        n = 5
+        N = n * n
+        blocks, base = _candidate_blocks(np.random.default_rng([seed, 7]), N)
+        for start in ([], [base]):
+            fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(N, 1e-8)
+            for block in start + [blocks[case]]:
+                assert fast.absorb(block) == ref.absorb(block)
+                assert fast.dim == ref.dim
+            Q = fast.q()
+            assert np.linalg.norm(Q @ Q.conj().T - np.eye(fast.dim)) <= 1e-12
+            proj_fast = Q.conj().T @ Q
+            proj_ref = ref.rows.conj().T @ ref.rows
+            assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
+
+
+def _adversarial_generators(count):
+    """Seeded single generators at n = 2..6: sparse (density 0.3),
+    nilpotent, and sparse scaled by 1e-6 and by 1e6."""
+    rng = np.random.default_rng(1)
+    for trial in range(count):
+        n, kind = 2 + trial % 5, (trial // 5) % 4
+        if kind == 1:
+            x = np.triu(_cgauss(rng, (n, n)), 1)
+        else:
+            x = _cgauss(rng, (n, n)) * (rng.random((n, n)) < 0.3)
+            x = x * {0: 1.0, 2: 1e-6, 3: 1e6}[kind]
+        yield n, x
+
+
+def test_generate_matches_reference_engine_on_adversarial_generators():
+    differ = [
+        (trial, n)
+        for trial, (n, x) in enumerate(_adversarial_generators(2000))
+        if generate([x]).dim != reference_closure_dim([x], n)
+    ]
+    assert differ == []
