@@ -6,6 +6,7 @@ exact rationals/integers wherever a bound is stated as one.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +72,20 @@ def sparse_tuples(k: int, count: int, seed: int):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _compressions(seed: int, eta):
+    """The compressions that criteria 3, 4 and 10 all check: one verified
+    cut_and_paste run per sparse tuple, 20 tuples each at k = 8 and k = 12.
+    Returns (cfg, [(k, units, [(tuple, result), ...]), ...])."""
+    cfg = _tol(eta, structural=1e-8, span=1e-6)
+    runs = []
+    for k in (8, 12):
+        sys = mu.standard_units(k)
+        pairs = [(tup, cp.cut_and_paste(tup, sys, cfg)) for tup in sparse_tuples(k, 20, seed)]
+        runs.append((k, sys, pairs))
+    return cfg, runs
+
+
 def _blocky_element(fam, pairs, rng):
     n = fam.ambient_dim
     x = np.zeros((n, n), dtype=np.complex128)
@@ -112,38 +127,31 @@ def crit_tensor_tower(seed: int, eta=None) -> tuple[bool, str]:
 
 
 def crit_compression(seed: int, eta=None) -> tuple[bool, str]:
-    cfg = _tol(eta, structural=1e-8, span=1e-6)
+    _, runs = _compressions(seed, eta)
     parts = []
     ok = True
-    for k in (8, 12):
-        sys = mu.standard_units(k)
+    for k, _, pairs in runs:
         good = 0
         worst_q = 0.0
-        tuples = sparse_tuples(k, 20, seed)
-        for tup in tuples:
-            res = cp.cut_and_paste(tup, sys, cfg)
+        for _, res in pairs:
             worst_q = max(worst_q, float(np.linalg.norm(res.q @ res.q - res.q)))
             m, t_count = res.support_count, res.block_count
             bound_ok = m <= 2 or (m - 2) ** 2 <= 4 * t_count
             if bound_ok and res.algebra_dim_inputs == res.algebra_dim_output:
                 good += 1
-        ok = ok and good == len(tuples)
-        parts.append(f"k={k}: {good}/{len(tuples)} ok, worst q residual {worst_q:.2e}")
+        ok = ok and good == len(pairs)
+        parts.append(f"k={k}: {good}/{len(pairs)} ok, worst q residual {worst_q:.2e}")
     return ok, "; ".join(parts)
 
 
 def crit_single_generation(seed: int, eta=None) -> tuple[bool, str]:
-    cfg = _tol(eta, structural=1e-8, span=1e-6)
+    cfg, runs = _compressions(seed, eta)
     parts = []
     ok = True
-    for k in (8, 12):
-        sys = mu.standard_units(k)
-        fam = sp.family_from_units(sys, cfg)
+    for k, sys, pairs in runs:
         good = 0
         qualifying = 0
-        tuples = sparse_tuples(k, 20, seed)
-        for tup in tuples:
-            res = cp.cut_and_paste(tup, sys, cfg)
+        for _, res in pairs:
             if res.support_trace >= Fraction(k - 1, k):
                 continue
             qualifying += 1
@@ -152,8 +160,8 @@ def crit_single_generation(seed: int, eta=None) -> tuple[bool, str]:
             fused_dim = sa.generate([cp.fuse(x1, x2, cfg)], cfg).dim
             if pair_dim == k * k and fused_dim == k * k:
                 good += 1
-        ok = ok and qualifying == len(tuples) and good == qualifying
-        parts.append(f"k={k}: {good}/{qualifying} qualifying (of {len(tuples)}) reach dim {k * k}")
+        ok = ok and qualifying == len(pairs) and good == qualifying
+        parts.append(f"k={k}: {good}/{qualifying} qualifying (of {len(pairs)}) reach dim {k * k}")
     return ok, "; ".join(parts)
 
 
@@ -280,14 +288,12 @@ def crit_nested_units(seed: int, eta=None) -> tuple[bool, str]:
 
 
 def crit_roundtrip(seed: int, eta=None) -> tuple[bool, str]:
-    cfg = _tol(eta, structural=1e-8, span=1e-6)
+    _, runs = _compressions(seed, eta)
     worst = 0.0
     total = 0
     good = 0
-    for k in (8, 12):
-        sys = mu.standard_units(k)
-        for tup in sparse_tuples(k, 20, seed):
-            res = cp.cut_and_paste(tup, sys, cfg)
+    for _, sys, pairs in runs:
+        for tup, res in pairs:
             rec = cp.recover_elements(res, sys)
             err = max(
                 float(np.linalg.norm(a - b))
@@ -331,4 +337,5 @@ def run_criterion(number: int, seed: int = 0, eta=None) -> CriterionResult:
 
 
 def run_all(seed: int = 0, eta=None) -> list[CriterionResult]:
+    _compressions.cache_clear()  # every run computes its compressions afresh
     return [run_criterion(num, seed, eta) for num, _, _, _ in CRITERIA]

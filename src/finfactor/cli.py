@@ -332,16 +332,13 @@ def cmd_verify_all(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def _add_tolerance_flags(parser, eta=True, structural=True, span=True):
-    if eta:
-        parser.add_argument("--eta", type=float, default=None,
-                            help="zero-block threshold (relative, default 1e-10)")
-    if structural:
-        parser.add_argument("--structural-tol", type=float, default=None,
-                            help="projection/unitary residual bound (default 1e-8)")
-    if span:
-        parser.add_argument("--span-tol", type=float, default=None,
-                            help="span membership residual bound (default 1e-8)")
+def _add_tolerance_flags(parser):
+    parser.add_argument("--eta", type=float, default=None,
+                        help="zero-block threshold (relative, default 1e-10)")
+    parser.add_argument("--structural-tol", type=float, default=None,
+                        help="projection/unitary residual bound (default 1e-8)")
+    parser.add_argument("--span-tol", type=float, default=None,
+                        help="span membership residual bound (default 1e-8)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -125,10 +125,6 @@ def operator_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
-def adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
-
-
 def self_adjoint_residual(x: np.ndarray) -> float:
     return frobenius_norm(x - x.conj().T)
 
@@ -189,10 +185,6 @@ def structural_checks(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> Stru
     proj = sa and frobenius_norm(x @ x - x) < cfg.structural_tol
     uni = frobenius_norm(x.conj().T @ x - identity(x.shape[0])) < cfg.structural_tol
     return StructuralFlags(self_adjoint=sa, projection=proj, unitary=uni)
-
-
-def is_projection(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return structural_checks(x, cfg).projection
 
 
 def projection_residual(x: np.ndarray) -> float:

@@ -67,6 +67,7 @@ def standard_units(k: int) -> MatrixUnitSystem:
     """Canonical full system in M_k: elementary matrices."""
     if k < 1:
         raise SystemTooSmall(f"system size must be >= 1, got {k}")
+    check_dimension_cap(k)
     units = np.zeros((k, k, k, k), dtype=np.complex128)
     for i in range(k):
         for j in range(k):

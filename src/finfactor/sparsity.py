@@ -211,7 +211,7 @@ def conjugate_family(fam: ProjectionFamily, u: np.ndarray) -> ProjectionFamily:
     u = as_matrix(u)
     if u.shape[0] != fam.ambient_dim:
         raise DimensionMismatch("unitary dimension does not match family")
-    proj = np.einsum("ab,kbc,cd->kad", u, fam.projections, u.conj().T)
+    proj = u @ fam.projections @ u.conj().T
     return ProjectionFamily(ambient_dim=fam.ambient_dim, k=fam.k, projections=proj)
 
 
@@ -442,6 +442,8 @@ def minimize_index(
         raise NotDivisible(f"k={k} does not divide the ambient dimension n={n}")
     if strategy not in STRATEGIES:
         raise UnknownStrategy(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be a non-negative integer, got {restarts}")
 
     if strategy == "diagonal_grouping":
         fam, fam_id = _grouping_search(tup, k, seed, restarts, cfg)

@@ -171,7 +171,7 @@ def full_matrix_basis(n: int) -> AlgebraBasis:
     return AlgebraBasis(ambient_dim=n, elements=elements)
 
 
-def _generator_list(a, cfg: ToleranceConfig):
+def _generator_list(a):
     if isinstance(a, AlgebraBasis):
         return a.ambient_dim, [a.elements[i] for i in range(a.dim)]
     gens = [as_matrix(g) for g in a]
@@ -187,7 +187,7 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     n^2-dimensional matrix space. Adjoints are included so the result is
     *-closed for arbitrary input sets.
     """
-    n, gens = _generator_list(a, cfg)
+    n, gens = _generator_list(a)
     N = n * n
     eye = np.eye(n, dtype=np.complex128)
     seen = np.stack(gens + [g.conj().T for g in gens])

@@ -3,7 +3,7 @@ pass/fail line (visible with pytest -s or in failure output)."""
 
 import pytest
 
-from finfactor import acceptance
+from finfactor import acceptance, compression
 
 SEED = 0
 
@@ -33,3 +33,33 @@ def test_broken_eta_keeps_refinement_monotonicity():
 
     bound_result = acceptance.run_criterion(2, seed=SEED, eta=0.5)
     assert bound_result.details  # completes with report content, never raises
+
+
+@pytest.fixture
+def cut_and_paste_calls(monkeypatch):
+    calls = []
+    real = compression.cut_and_paste
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compression, "cut_and_paste", counting)
+    return calls
+
+
+def test_run_all_compresses_each_tuple_once(cut_and_paste_calls):
+    # criteria 3, 4 and 10 share one verified compression of each of the
+    # 40 sparse tuples, and every run_all computes them afresh
+    acceptance.run_all(seed=SEED)
+    assert len(cut_and_paste_calls) == 40
+    acceptance.run_all(seed=SEED)
+    assert len(cut_and_paste_calls) == 80
+
+
+@pytest.mark.parametrize("number", [3, 4, 10])
+def test_compression_criteria_pass_from_a_cold_cache(number, cut_and_paste_calls):
+    acceptance._compressions.cache_clear()
+    result = acceptance.run_criterion(number, seed=SEED)
+    assert result.passed, result.line()
+    assert len(cut_and_paste_calls) == 40

@@ -79,6 +79,11 @@ class TestDemo:
     def test_hyperfinite_small_factor_is_precondition_error(self, capsys):
         assert main(["demo", "hyperfinite", "--dims", "2,3"]) == 2
 
+    def test_shift_dimension_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINFACTOR_DIM_CAP", "4")
+        assert main(["demo", "shift", "--k", "5"]) == 2
+        assert "ambient dimension 5 exceeds cap 4" in capsys.readouterr().err
+
 
 class TestSparsity:
     def test_identity_index(self, capsys, tmp_path):
@@ -110,6 +115,11 @@ class TestSparsity:
         assert main(["sparsity", *shift_files, "--k", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("precondition violated:") and err.count("\n") == 1
+
+    def test_negative_restarts_is_usage_error(self, capsys, shift_files):
+        assert main(["sparsity", *shift_files, "--k", "2", "--restarts", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: restarts must be") and err.count("\n") == 1
 
     def test_seeded_runs_are_byte_identical(self, capsys, shift_files):
         argv = ["sparsity", *shift_files, "--k", "2", "--seed", "7", "--json"]

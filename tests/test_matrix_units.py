@@ -134,8 +134,9 @@ class TestTensorUnits:
             tensor_units(standard_units(2), standard_units(3))
 
     @pytest.mark.parametrize(
-        "build", [lambda: amplified_units(4, 3), lambda: corner_chain([3, 4])],
-        ids=["amplified_units", "corner_chain"],
+        "build",
+        [lambda: amplified_units(4, 3), lambda: corner_chain([3, 4]), lambda: standard_units(12)],
+        ids=["amplified_units", "corner_chain", "standard_units"],
     )
     def test_builder_cap(self, monkeypatch, build):
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "8")

@@ -246,6 +246,11 @@ class TestMinimizeIndex:
         with pytest.raises(UnknownStrategy):
             minimize_index([identity(4)], 2, strategy="anneal")
 
+    @pytest.mark.parametrize("strategy", ["diagonal_grouping", "unitary_local_search", "combined"])
+    def test_negative_restarts_is_rejected(self, strategy):
+        with pytest.raises(ValueError, match="restarts must be a non-negative integer"):
+            minimize_index([identity(4)], 2, strategy=strategy, restarts=-1)
+
 
 class TestDirectSumFamily:
     def test_member_traces(self):
