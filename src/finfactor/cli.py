@@ -309,6 +309,7 @@ def cmd_pipeline(args) -> int:
 def cmd_verify_all(args) -> int:
     results = acceptance.run_all(seed=args.seed, eta=args.eta)
     if args.json:
+        budgets = {num: budget for num, _, _, budget in acceptance.CRITERIA}
         doc = {
             "seed": args.seed,
             "all_passed": all(r.passed for r in results),
@@ -318,6 +319,8 @@ def cmd_verify_all(args) -> int:
                     "name": r.name,
                     "passed": r.passed,
                     "details": r.details,
+                    "elapsed_s": r.elapsed,
+                    "budget_s": budgets[r.number],
                 }
                 for r in results
             ],

@@ -334,23 +334,39 @@ def _grouping_id(groups) -> str:
     return "grouping:" + "|".join(",".join(str(i + 1) for i in g) for g in parts)
 
 
-def _grouping_counts(sq_mags, thresholds_sq, assign, k) -> int:
-    """Total nonzero-block count for a diagonal grouping, over all elements."""
-    n = assign.shape[0]
-    A = np.zeros((k, n))
-    A[assign, np.arange(n)] = 1.0
-    total = 0
-    for S, t in zip(sq_mags, thresholds_sq):
-        M = A @ S @ A.T
-        total += int((M > t).sum())
-    return total
+# bytes of the (B, E, k, n) intermediate one partner sweep batch may use
+_SWEEP_BYTES = 1 << 24
+
+
+def _grouping_counts(sq_mags, thresholds_sq, assigns, k) -> np.ndarray:
+    """Total nonzero-block count, over the E elements whose squared moduli
+    sq_mags (E, n, n) holds, of each diagonal grouping in a (B, n) stack of
+    assignments."""
+    count, n = assigns.shape
+    A = np.zeros((count, 1, k, n))
+    A[np.arange(count)[:, None], 0, assigns, np.arange(n)] = 1.0
+    M = A @ sq_mags @ A.transpose(0, 1, 3, 2)  # (B, E, k, k) block masses
+    return (M > thresholds_sq[:, None, None]).sum(axis=(1, 2, 3))
 
 
 def _grouping_search(tup, k, seed, restarts, cfg):
+    """First-improvement pairwise-swap descent over balanced groupings.
+
+    For each a, the swaps of a with the later partners b in other groups are
+    counted in one batch under the current assignment and the first
+    improving one is taken; only the partners after it are counted again.
+    Rejected swaps never change the assignment, so this accepts exactly the
+    swaps a one-at-a-time sweep would. Block masses are fresh sums of
+    nonnegative |x|^2 entries: the squared threshold can be 1e-20 ||x||^2,
+    below the cancellation error of an incremental update.
+    """
     n = tup.ambient_dim
     m = n // k
-    sq_mags = [np.abs(x) ** 2 for x in tup.elements]
-    thresholds_sq = [(cfg.zero_block_eta * frobenius_norm(x)) ** 2 for x in tup.elements]
+    sq_mags = np.abs(np.stack(tup.elements)) ** 2
+    thresholds_sq = np.array(
+        [(cfg.zero_block_eta * frobenius_norm(x)) ** 2 for x in tup.elements]
+    )
+    batch = max(1, _SWEEP_BYTES // (8 * len(tup) * k * n))
 
     def canonical(assign):
         groups = [tuple(sorted(np.nonzero(assign == j)[0].tolist())) for j in range(k)]
@@ -363,21 +379,29 @@ def _grouping_search(tup, k, seed, restarts, cfg):
         assign = base.copy()
         if restart > 0:
             rng.shuffle(assign)
-        count = _grouping_counts(sq_mags, thresholds_sq, assign, k)
+        count = _grouping_counts(sq_mags, thresholds_sq, assign[None], k)[0]
         improved = True
         while improved:
             improved = False
             for a in range(n):
-                for b in range(a + 1, n):
-                    if assign[a] == assign[b]:
-                        continue
-                    assign[a], assign[b] = assign[b], assign[a]
-                    cand = _grouping_counts(sq_mags, thresholds_sq, assign, k)
-                    if cand < count:
-                        count = cand
+                lo = a + 1
+                while True:
+                    partners = lo + np.nonzero(assign[lo:] != assign[a])[0][:batch]
+                    if not partners.size:
+                        break
+                    trials = np.repeat(assign[None], partners.size, axis=0)
+                    rows = np.arange(partners.size)
+                    trials[rows, a] = assign[partners]
+                    trials[rows, partners] = assign[a]
+                    cands = _grouping_counts(sq_mags, thresholds_sq, trials, k)
+                    better = np.nonzero(cands < count)[0]
+                    if better.size:
+                        first = better[0]
+                        assign, count = trials[first], cands[first]
                         improved = True
+                        lo = partners[first] + 1
                     else:
-                        assign[a], assign[b] = assign[b], assign[a]
+                        lo = partners[-1] + 1
         key = (count, canonical(assign))
         if best is None or key < best[0]:
             best = (key, assign.copy())

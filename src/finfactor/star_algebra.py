@@ -34,6 +34,9 @@ class AlgebraBasis:
         return self.elements.reshape(self.dim, n * n) / math.sqrt(n)
 
 
+_RENORM_GATE = 1e-13
+
+
 class _SpanBuilder:
     """Growing orthonormal span with the relative-residual admission rule.
 
@@ -42,7 +45,8 @@ class _SpanBuilder:
     projected off the span held at entry with two classical Gram-Schmidt
     passes (CGS2); each survivor is then orthogonalized, twice, against the
     rows admitted earlier in the same block and tested on its own. The rows
-    a block admits get one more pass off the entry span.
+    a block admits get one more pass off the entry span, and are
+    re-orthonormalized when that pass moved a row norm off 1.
     """
 
     def __init__(self, n: int, tol: float):
@@ -98,6 +102,12 @@ class _SpanBuilder:
             # the cancellation factor, so the new rows get one more pass
             new = self._rows[start : self.dim]
             new[:] = self._project_off(new, start)
+            # removing an entry-span component eps moves a row norm off 1 by
+            # eps^2/2 and the block's inner products by as much; past
+            # _RENORM_GATE, re-orthonormalize the block (Cholesky QR)
+            if np.abs(np.linalg.norm(new, axis=1) - 1.0).max() > _RENORM_GATE:
+                chol = np.linalg.cholesky(new @ new.conj().T)
+                new[:] = np.linalg.solve(chol, new)
         return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:

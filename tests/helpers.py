@@ -1,11 +1,13 @@
 """Independent oracles used to freeze expected values, kept deliberately
 separate from the library's algorithms: closure dimension via greedy rank
-selection with matrix_rank, block counts via direct submatrix slicing, and
-the unblocked closure engine as the differential reference for generate."""
+selection with matrix_rank, block counts via direct submatrix slicing, the
+unblocked closure engine as the differential reference for generate, and the
+one-swap-at-a-time grouping search as the reference for the batched one."""
 
 import numpy as np
 
-from finfactor import DEFAULT_TOL
+from finfactor import DEFAULT_TOL, family_from_grouping, frobenius_norm
+from finfactor.sparsity import _grouping_id
 
 
 def _independent_subset(mats, n):
@@ -93,6 +95,59 @@ def reference_closure_dim(generators, n):
     return span.dim
 
 
+def _reference_grouping_count(sq_mags, thresholds_sq, assign, k):
+    n = assign.shape[0]
+    A = np.zeros((k, n))
+    A[assign, np.arange(n)] = 1.0
+    total = 0
+    for S, t in zip(sq_mags, thresholds_sq):
+        M = A @ S @ A.T
+        total += int((M > t).sum())
+    return total
+
+
+def reference_grouping_search(tup, k, seed, restarts, cfg):
+    """First-improvement swap descent that counts one candidate swap at a
+    time; same signature and result as sparsity._grouping_search."""
+    n = tup.ambient_dim
+    m = n // k
+    sq_mags = [np.abs(x) ** 2 for x in tup.elements]
+    thresholds_sq = [(cfg.zero_block_eta * frobenius_norm(x)) ** 2 for x in tup.elements]
+
+    def canonical(assign):
+        groups = [tuple(sorted(np.nonzero(assign == j)[0].tolist())) for j in range(k)]
+        return tuple(sorted(groups))
+
+    rng = np.random.default_rng(seed)
+    base = np.repeat(np.arange(k), m)
+    best = None
+    for restart in range(restarts + 1):
+        assign = base.copy()
+        if restart > 0:
+            rng.shuffle(assign)
+        count = _reference_grouping_count(sq_mags, thresholds_sq, assign, k)
+        improved = True
+        while improved:
+            improved = False
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if assign[a] == assign[b]:
+                        continue
+                    assign[a], assign[b] = assign[b], assign[a]
+                    cand = _reference_grouping_count(sq_mags, thresholds_sq, assign, k)
+                    if cand < count:
+                        count = cand
+                        improved = True
+                    else:
+                        assign[a], assign[b] = assign[b], assign[a]
+        key = (count, canonical(assign))
+        if best is None or key < best[0]:
+            best = (key, assign.copy())
+    (count, canon), assign = best
+    groups = [list(g) for g in canon]
+    return family_from_grouping(n, groups), _grouping_id(groups)
+
+
 def grouping_block_count(x, groups, eta=DEFAULT_TOL.zero_block_eta):
     """Nonzero-block count for a diagonal grouping by direct slicing."""
     x = np.asarray(x)
@@ -125,3 +180,15 @@ def basis_invariant_residuals(basis, cfg=DEFAULT_TOL):
             _, r = contains(basis, elems[i] @ elems[j], cfg)
             mult = max(mult, r)
     return {"orthonormality": orth, "identity": ident_res, "adjoint": adj, "product": mult}
+
+
+def two_block_element(seed=1):
+    """16x16 element with dense complex 2x2 blocks at block positions (0, 1)
+    and (2, 3) of the k=8 unit system: its fused single generator is a case
+    where a closure block loses orthonormality to cancellation."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((16, 16), dtype=complex)
+    for bi, bj in ((0, 1), (2, 3)):
+        block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] = block
+    return x

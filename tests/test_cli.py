@@ -6,7 +6,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from finfactor import load_matrix, save_matrix, shift_pair, standard_units
+from finfactor import acceptance, load_matrix, save_matrix, shift_pair, standard_units
 from finfactor.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -189,8 +189,17 @@ class TestVerifyAll:
         doc = json.loads(first)
         _validator("verify-all.schema.json").validate(doc)
         assert doc["all_passed"] and len(doc["criteria"]) == 10
+        budgets = {num: budget for num, _, _, budget in acceptance.CRITERIA}
+        for crit in doc["criteria"]:
+            assert crit["budget_s"] == budgets[crit["number"]]
+            assert 0 <= crit["elapsed_s"] < crit["budget_s"]
         assert main(argv) == 0
-        assert capsys.readouterr().out == first
+        second = json.loads(capsys.readouterr().out)
+        # wall times differ between runs; everything else is fixed by the seed
+        for d in (doc, second):
+            for crit in d["criteria"]:
+                del crit["elapsed_s"]
+        assert second == doc
 
     def test_human_output_one_line_per_criterion(self, capsys):
         assert main(["verify-all"]) == 0

@@ -27,8 +27,11 @@ from finfactor.errors import (
     SupportTooLarge,
 )
 from finfactor import star_algebra
-from finfactor.matrix_core import projection_residual, random_matrix
+from finfactor.cli import main
+from finfactor.matrix_core import projection_residual, random_matrix, save_matrix
 from finfactor.sparsity import family_from_units, support_mask
+
+from helpers import two_block_element
 
 
 def sparse_element(n, cells, rng=None, value=1.0):
@@ -273,6 +276,12 @@ class TestPipeline:
         monkeypatch.setattr(star_algebra, "generate", counting)
         pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
         assert len(calls) == 4
+
+    def test_dense_two_block_input_exits_zero(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        save_matrix(path, two_block_element())
+        assert main(["pipeline", str(path), "--units-k", "8"]) == 0
+        assert "final algebra dim: 256" in capsys.readouterr().out
 
     def test_report_serializes(self):
         rep = pipeline([sparse_element(8, [(2, 3)])], standard_units(8))

@@ -26,6 +26,7 @@ from finfactor import (
     support,
     unit_matrix,
 )
+from finfactor import sparsity
 from finfactor.errors import (
     FactorTooSmall,
     NotDivisible,
@@ -36,7 +37,7 @@ from finfactor.errors import (
 from finfactor.matrix_core import random_hermitian, random_matrix, random_unitary
 from finfactor.sparsity import ProjectionFamily
 
-from helpers import grouping_block_count
+from helpers import grouping_block_count, reference_grouping_search
 
 
 def m4_shift_tuple():
@@ -250,6 +251,61 @@ class TestMinimizeIndex:
     def test_negative_restarts_is_rejected(self, strategy):
         with pytest.raises(ValueError, match="restarts must be a non-negative integer"):
             minimize_index([identity(4)], 2, strategy=strategy, restarts=-1)
+
+
+def _planted_tuple(n, rng):
+    """Two elements, block diagonal plus one off-diagonal block against a
+    hidden balanced grouping into 8 parts, rows and columns permuted."""
+    m = n // 8
+    perm = rng.permutation(n)
+    xs = []
+    for _ in range(2):
+        x = np.zeros((n, n), dtype=complex)
+        for j in range(8):
+            x[j * m : (j + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
+        i, j = rng.choice(8, size=2, replace=False)
+        x[i * m : (i + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
+        xs.append(x[np.ix_(perm, perm)])
+    return xs
+
+
+def _grouping_search_cases():
+    """(tuple, k, restarts): planted n=16/32/48 at k=4/8, then random sparse,
+    dense and 1e-8-scaled tuples of one to three elements at k=1, k=n and a
+    proper divisor, with restarts cycling through 0..3."""
+    rng = np.random.default_rng(2024)
+    cases = [(_planted_tuple(n, rng), k) for n in (16, 32, 48) for k in (4, 8)]
+    for n, k in ((6, 1), (6, 6), (6, 3), (8, 8), (8, 2), (12, 4), (12, 12), (12, 6)):
+        for kind in ("sparse", "dense", "scaled"):
+            xs = [random_matrix(n, rng) for _ in range(int(rng.integers(1, 4)))]
+            if kind != "dense":
+                xs = [x * (rng.random((n, n)) < 0.2) for x in xs]
+            if kind == "scaled":
+                xs = [1e-8 * x for x in xs]
+            cases.append((xs, k))
+    return [(xs, k, i % 4) for i, (xs, k) in enumerate(cases)]
+
+
+@pytest.mark.parametrize(
+    "strategy, sweep_bytes",
+    [(strategy, None) for strategy in sparsity.STRATEGIES] + [("diagonal_grouping", 2000)],
+)
+def test_grouping_search_matches_one_swap_reference(monkeypatch, strategy, sweep_bytes):
+    # 2000 bytes cuts every partner sweep into batches of one to a few swaps
+    if sweep_bytes is not None:
+        monkeypatch.setattr(sparsity, "_SWEEP_BYTES", sweep_bytes)
+    batched = sparsity._grouping_search
+    for seed, (xs, k, restarts) in enumerate(_grouping_search_cases()):
+        results = []
+        for search in (batched, reference_grouping_search):
+            monkeypatch.setattr(sparsity, "_grouping_search", search)
+            results.append(
+                minimize_index(xs, k, strategy=strategy, seed=seed, restarts=restarts, iters=4)
+            )
+        (fam, rep), (ref_fam, ref_rep) = results
+        assert rep.family_id == ref_rep.family_id, (seed, k)
+        assert rep.index == ref_rep.index, (seed, k)
+        assert fam.projections.tobytes() == ref_fam.projections.tobytes(), (seed, k)
 
 
 class TestDirectSumFamily:

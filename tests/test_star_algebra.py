@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from finfactor import (
+    amplified_units,
     commutant,
     contains,
+    cut_and_paste,
     equal,
     full_matrix_basis,
+    fuse,
     generate,
     identity,
     shift_pair,
+    single_generator_pair,
     standard_units,
     unit_matrix,
 )
@@ -21,6 +25,7 @@ from helpers import (
     basis_invariant_residuals,
     closure_dim_oracle,
     reference_closure_dim,
+    two_block_element,
 )
 
 
@@ -59,6 +64,17 @@ class TestGenerate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             generate([identity(2), identity(3)])
+
+    def test_fused_generator_basis_is_orthonormal(self):
+        # a closure block whose rows cancel against each other leaves the
+        # entry span only to eps times the cancellation factor
+        sys = amplified_units(8, 2)
+        res = cut_and_paste([two_block_element()], sys)
+        basis = generate([fuse(*single_generator_pair(res.q, sys))])
+        flat = basis.elements.reshape(basis.dim, -1)
+        gram = np.conj(flat) @ flat.T / 16
+        assert basis.dim == 256
+        assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
 
     def test_produced_basis_satisfies_invariants(self):
         gens = [unit_matrix(3, 0, 0), sym_shift(3)]
