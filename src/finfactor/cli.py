@@ -99,7 +99,7 @@ def _units_from_doc(doc) -> matrix_units.MatrixUnitSystem:
     if not isinstance(doc, dict) or "k" not in doc or "units" not in doc:
         raise FileFormatError("unit bundle must be an object with 'k' and 'units'")
     k = doc["k"]
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise FileFormatError(f"'k' must be a positive integer, got {k!r}")
     raw = doc["units"]
     mats = {}

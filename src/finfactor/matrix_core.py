@@ -227,7 +227,8 @@ def matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise FileFormatError("matrix document must be an object with 'dim' and 'entries'")
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true/false load as bool, a subclass of int; the schema excludes them
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FileFormatError(f"'dim' must be a positive integer, got {n!r}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
@@ -237,7 +238,7 @@ def matrix_from_doc(doc) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FileFormatError(f"entry {idx} is not a [re, im] pair")
         re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pair):
             raise FileFormatError(f"entry {idx} has non-numeric components")
         out[idx] = complex(re, im)
     mat = out.reshape(n, n)

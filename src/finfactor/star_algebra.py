@@ -35,6 +35,16 @@ class AlgebraBasis:
 
 
 _RENORM_GATE = 1e-13
+# below N = n^2 = 256 a complete QR costs more than the complement prefilter
+# saves over the rest of the closure
+_COMPLEMENT_MIN_N = 256
+
+
+def _complement(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the orthogonal complement of the span of
+    orthonormal rows: the trailing columns of a complete QR."""
+    q, _ = np.linalg.qr(rows.conj().T, mode="complete")
+    return q[:, rows.shape[0] :].conj().T
 
 
 class _SpanBuilder:
@@ -47,6 +57,15 @@ class _SpanBuilder:
     rows admitted earlier in the same block and tested on its own. The rows
     a block admits get one more pass off the entry span, and are
     re-orthonormalized when that pass moved a row norm off 1.
+
+    Most candidates lie in the span, so the first pass serves as a prefilter:
+    only rows whose residual passes the test get the second. Once the span
+    holds more than half of M_n (n >= 16), the prefilter measures the
+    residual in the orthogonal complement instead, which is the smaller
+    side: an orthonormal basis W of the complement, built by a complete QR,
+    less the W-coordinates Y of the rows admitted since. Survivors then get
+    both passes off the span as before, so the admission decisions and the
+    rows admitted are those of the span-side prefilter.
     """
 
     def __init__(self, n: int, tol: float):
@@ -55,6 +74,8 @@ class _SpanBuilder:
         self.tol = tol
         self._rows = np.zeros((64, self.N), dtype=np.complex128)
         self.dim = 0
+        self._W = None  # complement basis, (r, N)
+        self._Y = None  # W-coordinates of the rows admitted since W was built
 
     def _grow(self):
         if self.dim == self._rows.shape[0]:
@@ -78,11 +99,24 @@ class _SpanBuilder:
         start = self.dim
         C = np.ascontiguousarray(cands, dtype=np.complex128)
         bars = self.tol * np.linalg.norm(C, axis=1)
-        R = self._project_off(C, start)
-        survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
-        if not survivors.size:
-            return 0
-        R = self._project_off(R[survivors], start)
+        if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
+            self._W = _complement(self.q())
+            self._Y = np.zeros((0, self._W.shape[0]), dtype=np.complex128)
+        if self._W is None:
+            R = self._project_off(C, start)
+            survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
+            if not survivors.size:
+                return 0
+            R = R[survivors]
+        else:
+            Z = C @ self._W.conj().T
+            if len(self._Y):
+                Z -= (Z @ self._Y.conj().T) @ self._Y
+            survivors = np.nonzero(np.linalg.norm(Z, axis=1) > bars)[0]
+            if not survivors.size:
+                return 0
+            R = self._project_off(C[survivors], start)
+        R = self._project_off(R, start)
         for v, bar in zip(R, bars[survivors]):
             # R is orthogonal to the entry span; only this call's rows remain
             for _ in range(2):
@@ -108,6 +142,13 @@ class _SpanBuilder:
             if np.abs(np.linalg.norm(new, axis=1) - 1.0).max() > _RENORM_GATE:
                 chol = np.linalg.cholesky(new @ new.conj().T)
                 new[:] = np.linalg.solve(chol, new)
+        if self._W is not None and self.dim > start:
+            new_y = self._rows[start : self.dim] @ self._W.conj().T
+            self._Y = np.vstack([self._Y, new_y])
+            if 2 * len(self._Y) > len(self._W):
+                # shrink W to the complement of the new rows within W
+                self._W = _complement(self._Y) @ self._W
+                self._Y = np.zeros((0, self._W.shape[0]), dtype=np.complex128)
         return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:

@@ -222,3 +222,35 @@ class TestParser:
     def test_zero_tolerance_is_rejected(self, capsys, flag):
         assert main(["demo", "shift", "--k", "3", flag, "0"]) == 1
         assert "must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    """JSON true/false are not numbers in the file schemas, though Python
+    loads them as bool, a subclass of int."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": True, "entries": [[1.0, 0.0]]},
+            {"dim": 2, "entries": [[True, 0], [0, 0], [0, 0], [1, 0]]},
+            {"dim": 2, "entries": [[1, 0], [0, False], [0, 0], [1, 0]]},
+        ],
+        ids=["dim", "real_part", "imaginary_part"],
+    )
+    def test_boolean_in_matrix_file_exits_one(self, capsys, tmp_path, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sparsity", str(path), "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_boolean_unit_count_exits_one(self, capsys, tmp_path, block_file):
+        main(["demo", "nested-units", "--sizes", "2,4", "--out", str(tmp_path)])
+        capsys.readouterr()
+        bundle = json.loads((tmp_path / "units.json").read_text())
+        bundle["k"] = True
+        path = tmp_path / "bool-units.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["pipeline", block_file, "--units", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'k' must be a positive integer") and err.count("\n") == 1

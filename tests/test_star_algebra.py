@@ -10,6 +10,7 @@ from finfactor import (
     full_matrix_basis,
     fuse,
     generate,
+    hyperfinite_pair,
     identity,
     shift_pair,
     single_generator_pair,
@@ -208,22 +209,22 @@ def _candidate_blocks(rng, N):
     }, base
 
 
+CANDIDATE_CASES = [
+    "dense",
+    "rank_deficient",
+    "duplicates",
+    "in_span_plus_noise",
+    "rescaled",
+    "near_span",
+    "near_duplicates",
+    "dominant_span",
+]
+
+
 class TestBlockedAbsorb:
     """The blocked CGS2 absorb against the per-row reference builder."""
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "dense",
-            "rank_deficient",
-            "duplicates",
-            "in_span_plus_noise",
-            "rescaled",
-            "near_span",
-            "near_duplicates",
-            "dominant_span",
-        ],
-    )
+    @pytest.mark.parametrize("case", CANDIDATE_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_same_admissions_and_span(self, case, seed):
         span_tol = 1e-9 if case.startswith("near") else 1e-12
@@ -240,6 +241,133 @@ class TestBlockedAbsorb:
             proj_fast = Q.conj().T @ Q
             proj_ref = ref.rows.conj().T @ ref.rows
             assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
+
+
+def _complement_gap(builder):
+    """Distance between the complement the prefilter measures in (W less
+    the rows admitted since W was built) and that of the span."""
+    Q, W = builder.q(), builder._W
+    V = builder._Y @ W
+    span_side = np.eye(builder.N) - Q.conj().T @ Q
+    return np.linalg.norm(span_side - (W.conj().T @ W - V.conj().T @ V))
+
+
+class TestComplementPrefilter:
+    """Past half of M_n at n = 16, absorb prefilters in the complement of the
+    span; it must admit what the per-row reference builder admits."""
+
+    @pytest.mark.parametrize("case", CANDIDATE_CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_same_admissions_and_span(self, case, seed):
+        span_tol = 1e-9 if case.startswith("near") else 1e-12
+        n = 16
+        N = n * n
+        rng = np.random.default_rng([seed, 16])
+        blocks, base = _candidate_blocks(rng, N)
+        entry = np.vstack([base, _cgauss(rng, (N // 2 + 8, N))])
+        fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(N, 1e-8)
+        for block in (entry, blocks[case]):
+            assert fast.absorb(block) == ref.absorb(block)
+            assert fast.dim == ref.dim
+        assert fast._W is not None
+        assert _complement_gap(fast) <= 1e-12
+        Q = fast.q()
+        assert np.linalg.norm(Q @ Q.conj().T - np.eye(fast.dim)) <= 1e-12
+        proj_fast = Q.conj().T @ Q
+        proj_ref = ref.rows.conj().T @ ref.rows
+        assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
+
+    def test_coordinates_follow_the_cholesky_pass(self, monkeypatch):
+        # near duplicates 1e-10 apart under span_tol 1e-12 cancel by 1e10
+        # within the block, so the end pass re-orthonormalizes the block;
+        # the next block admits past half of the complement, which shrinks W
+        n, tol = 16, 1e-12
+        N = n * n
+        rng = np.random.default_rng(16)
+        a = _cgauss(rng, (4, N))
+        entry = _cgauss(rng, (N // 2 + 12, N))
+        blocks = [
+            np.vstack([a, a + 1e-10 * _cgauss(rng, (4, N))]),
+            _cgauss(rng, (60, N)),
+            np.vstack([_cgauss(rng, (20, N // 2 + 12)) @ entry, _cgauss(rng, (5, N))]),
+            _cgauss(rng, (N, N)),
+        ]
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def spy(m):
+            calls.append(fast._W is not None)
+            return cholesky(m)
+
+        def span_side(C, dim):
+            raise AssertionError("an in-span candidate passed the prefilter")
+
+        fast, ref = _SpanBuilder(n, tol), ReferenceSpan(N, tol)
+        assert fast.absorb(entry) == ref.absorb(entry)
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        for i, block in enumerate(blocks):
+            assert fast.absorb(block) == ref.absorb(block)
+            assert fast.dim == ref.dim
+            assert _complement_gap(fast) <= 1e-12
+            assert len(fast._W) - len(fast._Y) == N - fast.dim
+            if i == 0:
+                assert calls == [True]  # the Cholesky pass ran with W in place
+            if i == 1:
+                assert len(fast._Y) == 0  # W shrank
+            # combinations of the span, the rows since W included, stop in
+            # the complement and never reach the span-side passes
+            fast._project_off = span_side
+            assert fast.absorb(_cgauss(rng, (8, fast.dim)) @ fast.q()) == 0
+            del fast._project_off
+        assert fast.dim == N
+        Q = fast.q()
+        assert np.linalg.norm(Q @ Q.conj().T - np.eye(N)) <= 1e-12
+
+
+def _direct_sum(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    i = 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+@pytest.mark.parametrize(
+    "variant", ["plain", "conjugated", "conjugated_scaled_1e-6", "conjugated_scaled_1e6"]
+)
+@pytest.mark.parametrize("sizes, dim", [((12, 4), 160), ((15, 1), 226)])
+def test_proper_subalgebra_past_half_of_m16(sizes, dim, variant):
+    # M_12 + M_4 and M_15 + C: the complement prefilter runs, but the span
+    # never reaches M_16
+    rng = np.random.default_rng(sum(sizes) + len(sizes))
+    gens = [_direct_sum([_cgauss(rng, (s, s)) for s in sizes]) for _ in range(2)]
+    if variant != "plain":
+        u = random_unitary(16, rng)
+        scale = {"conjugated": 1.0, "conjugated_scaled_1e-6": 1e-6,
+                 "conjugated_scaled_1e6": 1e6}[variant]
+        gens = [scale * (u @ g @ u.conj().T) for g in gens]
+    basis = generate(gens)
+    assert basis.dim == dim
+    assert equal(basis, commutant(commutant(gens)))
+
+
+def _full_m16_generators():
+    rng = np.random.default_rng(16)
+    u = random_unitary(16, rng)
+    x1, x2 = shift_pair(standard_units(16))
+    x1, x2 = u @ x1 @ u.conj().T, u @ x2 @ u.conj().T
+    t1, t2, _ = hyperfinite_pair([4, 4])
+    return {"shift_pair": [x1, x2], "fused": [fuse(x1, x2)], "tower_4_4": [t1, t2]}
+
+
+@pytest.mark.parametrize("name", ["shift_pair", "fused", "tower_4_4"])
+def test_full_m16_generators_reach_m16(name):
+    gens = _full_m16_generators()[name]
+    basis = generate(gens)
+    assert basis.dim == 256
+    assert equal(basis, commutant(commutant(gens)))
 
 
 def _adversarial_generators(count):
