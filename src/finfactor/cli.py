@@ -115,6 +115,11 @@ def _units_from_doc(doc) -> matrix_units.MatrixUnitSystem:
         if m.shape[0] != n:
             raise FileFormatError("unit bundle mixes ambient dimensions")
         units[i, j] = m
+    declared = doc.get("ambient_dim")
+    if isinstance(declared, bool) or not isinstance(declared, int) or declared != n:
+        raise FileFormatError(
+            f"'ambient_dim' must be the integer size of the units, {n}, got {declared!r}"
+        )
     return matrix_units.MatrixUnitSystem(ambient_dim=n, k=k, units=units)
 
 
@@ -401,6 +406,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.fn(args)
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (FileFormatError, UnknownStrategy, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ conclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -234,8 +234,12 @@ def single_generator_pair(
 
     Requires tau(S(q)) < 1 - 1/k so a diagonal unit disjoint from q's support
     exists; the system indices are relabeled by the cyclic permutation moving
-    the smallest free index to position 1. The spectral values 1 and 2 of
-    e_11 + 2q separate e_11 and q again (q = (x1^2 - x1)/2).
+    the smallest free index to position 1. The pair is built from q and the
+    units, and it is certified to give them back by words in x1 and x2:
+    q = (x1^2 - x1)/2 (the spectral values 1 and 2 of x1 separate e_11 and
+    q), e_11 = x1 - 2q, e_21 = x2 e_11, e_(j+2)1 = x2 e_(j+1)1 - e_j1 and
+    e_ij = e_i1 e_j1*. The worst Frobenius residual of these words must stay
+    within structural_tol.
     """
     q = as_matrix(q)
     _require_full(sys, cfg)
@@ -255,7 +259,18 @@ def single_generator_pair(
         ambient_dim=sys.ambient_dim, k=k, units=sys.units[np.ix_(perm, perm)]
     )
     e11, shift = shift_pair(relabeled)
-    return e11 + 2.0 * q, shift
+    x1 = e11 + 2.0 * q
+    q_word = 0.5 * (x1 @ x1 - x1)
+    column = [np.zeros_like(x1), x1 - 2.0 * q_word]  # e_01 = 0, then e_11
+    for _ in range(k - 1):
+        column.append(shift @ column[-1] - column[-2])
+    column = np.stack(column[1:])
+    words = column[:, None] @ column.conj().transpose(0, 2, 1)[None]
+    unit_residual = float(np.linalg.norm(words - relabeled.units, axis=(2, 3)).max())
+    residual = max(frobenius_norm(q_word - q), unit_residual)
+    if residual > cfg.structural_tol:
+        raise NumericalFailure(f"pair fails its word certificate: residual {residual:.3e}")
+    return x1, shift
 
 
 def fuse(
@@ -282,12 +297,7 @@ class StageReport:
     algebra_dims: dict
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "bounds": self.bounds,
-            "algebra_dims": self.algebra_dims,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,13 +354,10 @@ def pipeline(
     x1, x2 = _run_stage(
         "single_generator_pair", lambda: single_generator_pair(res.q, sys, cfg)
     )
-    pair_algebra = star_algebra.generate([x1, x2], cfg)
-    q_algebra = res.q_algebra
-    if not star_algebra.equal(q_algebra, pair_algebra, cfg):
-        raise NumericalFailure(
-            f"[single_generator_pair] pair algebra dim {pair_algebra.dim} "
-            f"!= q+units dim {q_algebra.dim}"
-        )
+    # the pair and the fused element are words in q and the units, and give
+    # them back by words (certified in single_generator_pair, exact in fuse):
+    # all three generate the verified algebra of {q} + units
+    dims = {"before": res.q_algebra.dim, "after": res.q_algebra.dim}
     stage2 = StageReport(
         name="single_generator_pair",
         ok=True,
@@ -359,21 +366,11 @@ def pipeline(
             "support_trace_den": res.support_trace.denominator,
             "support_limit": 1.0 - 1.0 / k,
         },
-        algebra_dims={"before": q_algebra.dim, "after": pair_algebra.dim},
+        algebra_dims=dims,
     )
 
     a = _run_stage("fuse", lambda: fuse(x1, x2, cfg))
-    fused_algebra = star_algebra.generate([a], cfg)
-    if not star_algebra.equal(pair_algebra, fused_algebra, cfg):
-        raise NumericalFailure(
-            f"[fuse] fused algebra dim {fused_algebra.dim} != pair dim {pair_algebra.dim}"
-        )
-    stage3 = StageReport(
-        name="fuse",
-        ok=True,
-        bounds={},
-        algebra_dims={"before": pair_algebra.dim, "after": fused_algebra.dim},
-    )
+    stage3 = StageReport(name="fuse", ok=True, bounds={}, algebra_dims=dims)
 
     return PipelineReport(
         k=k,
@@ -381,5 +378,5 @@ def pipeline(
         labels=tup.labels,
         stages=(stage1, stage2, stage3),
         final=a,
-        final_algebra_dim=fused_algebra.dim,
+        final_algebra_dim=res.q_algebra.dim,
     )

@@ -55,8 +55,8 @@ class _SpanBuilder:
     projected off the span held at entry with two classical Gram-Schmidt
     passes (CGS2); each survivor is then orthogonalized, twice, against the
     rows admitted earlier in the same block and tested on its own. The rows
-    a block admits get one more pass off the entry span, and are
-    re-orthonormalized when that pass moved a row norm off 1.
+    a block admits get one more pass off the entry span, and go through the
+    same admission once more when that pass moved a row norm off 1.
 
     Most candidates lie in the span, so the first pass serves as a prefilter:
     only rows whose residual passes the test get the second. Once the span
@@ -94,6 +94,31 @@ class _SpanBuilder:
         Q = self._rows[:dim]
         return C - (C @ Q.conj().T) @ Q
 
+    def _admit(self, R: np.ndarray, bars: np.ndarray, start: int):
+        """Admit the rows of R, already orthogonal to the first start rows,
+        one by one: each is orthogonalized twice against the rows admitted
+        since start and kept, normalized, iff its residual exceeds its bar."""
+        for v, bar in zip(R, bars):
+            for _ in range(2):
+                if self.dim > start:
+                    Q = self._rows[start : self.dim]
+                    v = v - np.conj(Q @ v.conj()) @ Q
+            r = float(np.linalg.norm(v))
+            if r > bar:
+                self._grow()
+                self._rows[self.dim] = v / r
+                self.dim += 1
+                if self.dim == self.N:
+                    break
+
+    def _readmit(self, start: int):
+        """Run the rows admitted since start through admission again, each
+        against span_tol times its own norm: a row that depends on the
+        earlier ones is dropped, the rest come out orthonormal."""
+        new = self._rows[start : self.dim].copy()
+        self.dim = start
+        self._admit(new, self.tol * np.linalg.norm(new, axis=1), start)
+
     def absorb(self, cands: np.ndarray) -> int:
         """Absorb a stack of candidate vectors (m, N); returns count admitted."""
         start = self.dim
@@ -116,20 +141,7 @@ class _SpanBuilder:
             if not survivors.size:
                 return 0
             R = self._project_off(C[survivors], start)
-        R = self._project_off(R, start)
-        for v, bar in zip(R, bars[survivors]):
-            # R is orthogonal to the entry span; only this call's rows remain
-            for _ in range(2):
-                if self.dim > start:
-                    Q = self._rows[start : self.dim]
-                    v = v - np.conj(Q @ v.conj()) @ Q
-            r = float(np.linalg.norm(v))
-            if r > bar:
-                self._grow()
-                self._rows[self.dim] = v / r
-                self.dim += 1
-                if self.dim == self.N:
-                    break
+        self._admit(self._project_off(R, start), bars[survivors], start)
         if start and self.dim > start:
             # R is orthogonal to the entry span only to eps times its norm; a
             # row that then cancelled against this call's rows was scaled up by
@@ -138,10 +150,10 @@ class _SpanBuilder:
             new[:] = self._project_off(new, start)
             # removing an entry-span component eps moves a row norm off 1 by
             # eps^2/2 and the block's inner products by as much; past
-            # _RENORM_GATE, re-orthonormalize the block (Cholesky QR)
+            # _RENORM_GATE, the block may have lost orthonormality or even
+            # independence, so it goes through admission once more
             if np.abs(np.linalg.norm(new, axis=1) - 1.0).max() > _RENORM_GATE:
-                chol = np.linalg.cholesky(new @ new.conj().T)
-                new[:] = np.linalg.solve(chol, new)
+                self._readmit(start)
         if self._W is not None and self.dim > start:
             new_y = self._rows[start : self.dim] @ self._W.conj().T
             self._Y = np.vstack([self._Y, new_y])

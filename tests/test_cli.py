@@ -6,7 +6,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from finfactor import acceptance, load_matrix, save_matrix, shift_pair, standard_units
+from finfactor import acceptance, compression, load_matrix, save_matrix, shift_pair, standard_units
 from finfactor.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -179,6 +179,16 @@ class TestPipeline:
         assert main(["pipeline", block_file]) == 2
         assert "ambient dimension 8 exceeds cap 4" in capsys.readouterr().err
 
+    def test_linear_algebra_breakdown_is_numerical_failure(self, capsys, monkeypatch, block_file):
+        # numpy's LinAlgError is a ValueError, which alone would read as a usage error
+        def breakdown(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(compression, "pipeline", breakdown)
+        assert main(["pipeline", block_file]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Matrix is not positive definite\n"
+
 
 class TestVerifyAll:
     def test_passes_schema_and_determinism(self, capsys):
@@ -254,3 +264,21 @@ class TestInputFiles:
         assert main(["pipeline", block_file, "--units", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: 'k' must be a positive integer") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [99, None, 6.0, True], ids=["wrong", "missing", "float", "bool"])
+    def test_unit_bundle_ambient_dim_must_match_the_units(self, capsys, tmp_path, value):
+        main(["demo", "nested-units", "--sizes", "2,3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        bundle = json.loads((tmp_path / "units.json").read_text())
+        assert bundle["ambient_dim"] == 6
+        if value is None:
+            del bundle["ambient_dim"]
+        else:
+            bundle["ambient_dim"] = value
+        path = tmp_path / "bad-units.json"
+        path.write_text(json.dumps(bundle))
+        zero = tmp_path / "zero.json"
+        save_matrix(zero, np.zeros((6, 6), dtype=complex))
+        assert main(["pipeline", str(zero), "--units", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'ambient_dim' must be") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from finfactor.errors import (
     InconsistentAssignment,
     IndexTooLarge,
     NotSelfAdjoint,
+    NumericalFailure,
     SupportTooLarge,
 )
 from finfactor import star_algebra
@@ -205,6 +206,23 @@ class TestSingleGeneratorPair:
         assert np.array_equal(x1, e[perm[0], perm[0]] + 2.0 * q)
         assert np.array_equal(x2, shift)
 
+    def test_rejects_wrong_off_diagonal_units(self):
+        # the support is still I, but e_12 is twice too large, so the shift
+        # built from it does not give e_21 back
+        sys = standard_units(6)
+        units = sys.units.copy()
+        units[0, 1] *= 2.0
+        bad = dataclasses.replace(sys, units=units)
+        with pytest.raises(NumericalFailure, match="word certificate"):
+            single_generator_pair(np.zeros((6, 6), dtype=complex), bad)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6])
+    def test_rejects_a_non_projection(self, scale):
+        # (x1^2 - x1)/2 gives back q only when q is a projection; at 1 + 1e-6
+        # the unit words are off by only 1e-11, so the q word must catch it
+        with pytest.raises(NumericalFailure, match="word certificate"):
+            single_generator_pair(scale * unit_matrix(6, 1, 1), standard_units(6))
+
     def test_pipeline_projection_from_compression(self):
         sys = standard_units(8)
         x = sparse_element(8, [(2, 3)])
@@ -265,17 +283,24 @@ class TestPipeline:
         assert stage1.algebra_dims == {"before": 144, "after": 144}
 
     def test_reuses_the_verified_q_algebra(self, monkeypatch):
-        # inputs+units, q+units, the pair and the fused element: one closure each
-        calls = []
-        real = star_algebra.generate
+        # inputs+units and q+units, one closure each and one equality check;
+        # the pair and the fused element are certified by words instead
+        calls = {"generate": 0, "equal": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(star_algebra, name)
 
-        monkeypatch.setattr(star_algebra, "generate", counting)
-        pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
-        assert len(calls) == 4
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(star_algebra, name, counting(name))
+        rep = pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
+        assert calls == {"generate": 2, "equal": 1}
+        assert [s.algebra_dims for s in rep.stages] == [{"before": 64, "after": 64}] * 3
 
     def test_dense_two_block_input_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "x.json"
@@ -311,3 +336,48 @@ class TestRandomInstances:
             assert m <= 2 or (m - 2) ** 2 <= 4 * res.block_count
             rec = recover_elements(res, sys)
             assert np.linalg.norm(rec.elements[0] - x) < 1e-8
+
+
+def _benchmark_block_tuples(seed):
+    """The two-element tuples of the benchmark's pipeline instances, drawn as
+    the benchmark draws them from SeedSequence([seed, 3]): for (k, copies,
+    blocks) in (6, 2, 3), (8, 2, 5), (6, 3, 3), a dense then a scalar tuple.
+    Yields (n, k, dense, elements)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    for k, copies, blocks in ((6, 2, 3), (8, 2, 5), (6, 3, 3)):
+        n = k * copies
+        for dense in (True, False):
+            cells = rng.choice(k * k, size=blocks, replace=False)
+            xs = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+            for idx, cell in enumerate(cells):
+                i, j = divmod(int(cell), k)
+                shape = (copies, copies) if dense else ()
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                if not dense:
+                    block = block * np.eye(copies)
+                xs[idx % 2][i * copies : (i + 1) * copies, j * copies : (j + 1) * copies] = block
+            yield n, k, dense, xs
+
+
+@pytest.mark.parametrize("seed, n", [(18, 18), (51, 12), (77, 16)])
+def test_scalar_block_closures_stay_orthonormal(monkeypatch, seed, n):
+    # closing these scalar-block tuples, cancellation leaves an admitted row
+    # of a block dependent on the others after the end pass
+    (k, xs), = [(k, xs) for m, k, dense, xs in _benchmark_block_tuples(seed)
+                if m == n and not dense]
+    bases = []
+    real = star_algebra.generate
+
+    def recording(*args, **kwargs):
+        bases.append(real(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(star_algebra, "generate", recording)
+    try:
+        cut_and_paste(xs, amplified_units(k, n // k))
+    except NumericalFailure as exc:
+        assert "algebra equality failed" in str(exc)  # the known over-count
+    assert len(bases) == 2  # inputs + units, then q + units
+    for basis in bases:
+        U = basis.unit_rows()
+        assert np.linalg.norm(U @ U.conj().T - np.eye(basis.dim)) <= 1e-12

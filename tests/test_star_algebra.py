@@ -277,10 +277,11 @@ class TestComplementPrefilter:
         proj_ref = ref.rows.conj().T @ ref.rows
         assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
 
-    def test_coordinates_follow_the_cholesky_pass(self, monkeypatch):
+    def test_coordinates_follow_the_readmission_pass(self, monkeypatch):
         # near duplicates 1e-10 apart under span_tol 1e-12 cancel by 1e10
-        # within the block, so the end pass re-orthonormalizes the block;
-        # the next block admits past half of the complement, which shrinks W
+        # within the block, so the end pass sends the block through admission
+        # again; the next block admits past half of the complement, which
+        # shrinks W
         n, tol = 16, 1e-12
         N = n * n
         rng = np.random.default_rng(16)
@@ -292,26 +293,26 @@ class TestComplementPrefilter:
             np.vstack([_cgauss(rng, (20, N // 2 + 12)) @ entry, _cgauss(rng, (5, N))]),
             _cgauss(rng, (N, N)),
         ]
-        cholesky = np.linalg.cholesky
         calls = []
 
-        def spy(m):
+        def spy(start):
             calls.append(fast._W is not None)
-            return cholesky(m)
+            return readmit(start)
 
         def span_side(C, dim):
             raise AssertionError("an in-span candidate passed the prefilter")
 
         fast, ref = _SpanBuilder(n, tol), ReferenceSpan(N, tol)
         assert fast.absorb(entry) == ref.absorb(entry)
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        readmit = fast._readmit
+        monkeypatch.setattr(fast, "_readmit", spy)
         for i, block in enumerate(blocks):
             assert fast.absorb(block) == ref.absorb(block)
             assert fast.dim == ref.dim
             assert _complement_gap(fast) <= 1e-12
             assert len(fast._W) - len(fast._Y) == N - fast.dim
             if i == 0:
-                assert calls == [True]  # the Cholesky pass ran with W in place
+                assert calls == [True]  # the readmission ran with W in place
             if i == 1:
                 assert len(fast._Y) == 0  # W shrank
             # combinations of the span, the rows since W included, stop in
