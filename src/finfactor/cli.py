@@ -147,6 +147,14 @@ def _fraction_str(num: int, den: int) -> str:
 # --- demo -----------------------------------------------------------------------
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; an empty entry is an error, never skipped."""
+    parts = text.split(",")
+    if any(not part.strip() for part in parts):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return [int(part) for part in parts]
+
+
 def _demo_shift(args, cfg) -> tuple[dict, dict]:
     k = args.k
     sys = matrix_units.standard_units(k)
@@ -169,7 +177,7 @@ def _demo_shift(args, cfg) -> tuple[dict, dict]:
 
 
 def _demo_hyperfinite(args, cfg) -> tuple[dict, dict]:
-    dims = [int(d) for d in args.dims.split(",") if d]
+    dims = _int_list(args.dims, "--dims")
     x1, x2, tower = sparsity.hyperfinite_pair(dims)
     n = int(np.prod(dims))
     algebra = star_algebra.generate([x1, x2], cfg)
@@ -195,7 +203,7 @@ def _demo_hyperfinite(args, cfg) -> tuple[dict, dict]:
 
 
 def _demo_nested_units(args, cfg) -> tuple[dict, dict]:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = _int_list(args.sizes, "--sizes")
     nested = matrix_units.nested_product(matrix_units.corner_chain(sizes), cfg)
     rep = matrix_units.verify(nested, cfg)
     n = nested.ambient_dim

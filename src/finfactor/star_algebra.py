@@ -38,6 +38,9 @@ _RENORM_GATE = 1e-13
 # below N = n^2 = 256 a complete QR costs more than the complement prefilter
 # saves over the rest of the closure
 _COMPLEMENT_MIN_N = 256
+# rows of commutator blocks per QR fold in commutant (at least one block):
+# whole blocks of n^2 rows, enough of them at small n that the QR calls stay few
+_COMMUTANT_SLAB_ROWS = 400
 
 
 def _complement(rows: np.ndarray) -> np.ndarray:
@@ -249,17 +252,28 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     Computed as the joint null space of the linear maps x -> xg - gx on the
     n^2-dimensional matrix space. Adjoints are included so the result is
     *-closed for arbitrary input sets.
+
+    The constraint blocks are never stacked: slabs of consecutive blocks are
+    folded into a running n^2 x n^2 triangular factor R (the R of a
+    tall-skinny QR of the stack), and the null space is read off the SVD of
+    R. R*R is the Gram matrix of the stack, so the singular values, the
+    null-space threshold and the null space are those of the stack, while
+    memory stays O(n^4) whatever the number of generators.
     """
     n, gens = _generator_list(a)
     N = n * n
     eye = np.eye(n, dtype=np.complex128)
     seen = np.stack(gens + [g.conj().T for g in gens])
-    # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
-    # [m, i, j, k, l] is row (i, j), column (k, l) of the block for seen[m]
-    stacked = eye[None, :, None, :, None] * seen.transpose(0, 2, 1)[:, None, :, None, :]
-    stacked -= seen[:, :, None, :, None] * eye[None, None, :, None, :]
-    stacked = stacked.reshape(len(seen) * N, N)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    per_slab = max(1, _COMMUTANT_SLAB_ROWS // N)
+    R = np.zeros((0, N), dtype=np.complex128)
+    for lo in range(0, len(seen), per_slab):
+        part = seen[lo : lo + per_slab]
+        # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
+        # [m, i, j, k, l] is row (i, j), column (k, l) of the block for part[m]
+        slab = eye[None, :, None, :, None] * part.transpose(0, 2, 1)[:, None, :, None, :]
+        slab -= part[:, :, None, :, None] * eye[None, None, :, None, :]
+        R = np.linalg.qr(np.vstack([R, slab.reshape(len(part) * N, N)]), mode="r")
+    _, svals, vh = np.linalg.svd(R)
     smax = float(svals[0]) if len(svals) else 0.0
     null_mask = svals <= cfg.span_tol * max(1.0, smax)
     null_rows = vh[null_mask].conj()

@@ -2,12 +2,16 @@
 separate from the library's algorithms: closure dimension via greedy rank
 selection with matrix_rank, block counts via direct submatrix slicing, the
 unblocked closure engine as the differential reference for generate, and the
-one-swap-at-a-time grouping search as the reference for the batched one."""
+one-swap-at-a-time grouping search as the reference for the batched one, and
+the one-stack commutant as the differential reference for the streamed one."""
+
+import math
 
 import numpy as np
 
-from finfactor import DEFAULT_TOL, family_from_grouping, frobenius_norm
+from finfactor import DEFAULT_TOL, AlgebraBasis, family_from_grouping, frobenius_norm
 from finfactor.sparsity import _grouping_id
+from finfactor.star_algebra import _generator_list
 
 
 def _independent_subset(mats, n):
@@ -93,6 +97,23 @@ def reference_closure_dim(generators, n):
         if span.dim == start:
             break
     return span.dim
+
+
+def reference_commutant(a, cfg=DEFAULT_TOL):
+    """Commutant by one SVD of all 2g constraint blocks stacked into a
+    (2g*n^2) x n^2 matrix, with the same null-space threshold as commutant."""
+    n, gens = _generator_list(a)
+    N = n * n
+    eye = np.eye(n, dtype=np.complex128)
+    seen = np.stack(gens + [g.conj().T for g in gens])
+    stacked = eye[None, :, None, :, None] * seen.transpose(0, 2, 1)[:, None, :, None, :]
+    stacked -= seen[:, :, None, :, None] * eye[None, None, :, None, :]
+    stacked = stacked.reshape(len(seen) * N, N)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    smax = float(svals[0]) if len(svals) else 0.0
+    null_mask = svals <= cfg.span_tol * max(1.0, smax)
+    elements = math.sqrt(n) * vh[null_mask].conj().reshape(-1, n, n)
+    return AlgebraBasis(ambient_dim=n, elements=np.ascontiguousarray(elements))
 
 
 def _reference_grouping_count(sq_mags, thresholds_sq, assign, k):

@@ -79,6 +79,20 @@ class TestDemo:
     def test_hyperfinite_small_factor_is_precondition_error(self, capsys):
         assert main(["demo", "hyperfinite", "--dims", "2,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "kind,flag,value",
+        [
+            ("hyperfinite", "--dims", "3,,3"),
+            ("hyperfinite", "--dims", "3,3,"),
+            ("nested-units", "--sizes", "2,,3"),
+            ("nested-units", "--sizes", "2,3,"),
+        ],
+    )
+    def test_empty_list_entry_is_usage_error(self, capsys, kind, flag, value):
+        assert main(["demo", kind, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty entry" in err
+
     def test_shift_dimension_cap_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "4")
         assert main(["demo", "shift", "--k", "5"]) == 2

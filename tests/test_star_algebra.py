@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from helpers import (
     basis_invariant_residuals,
     closure_dim_oracle,
     reference_closure_dim,
+    reference_commutant,
     two_block_element,
 )
 
@@ -392,3 +395,69 @@ def test_generate_matches_reference_engine_on_adversarial_generators():
         if generate([x]).dim != reference_closure_dim([x], n)
     ]
     assert differ == []
+
+
+def _rank_one_generators(count):
+    """Seeded rank-1 generators u v* at n = 2..6."""
+    rng = np.random.default_rng(2)
+    for trial in range(count):
+        n = 2 + trial % 5
+        yield n, np.outer(_cgauss(rng, n), _cgauss(rng, n).conj())
+
+
+def _mixed_pairs(count):
+    """Seeded pairs at n = 2..6: a sparse generator with a rank-1 one, or
+    two dense ones."""
+    rng = np.random.default_rng(3)
+    for trial in range(count):
+        n = 2 + trial % 5
+        x = _cgauss(rng, (n, n))
+        if trial % 2:
+            y = _cgauss(rng, (n, n))
+        else:
+            x = x * (rng.random((n, n)) < 0.3)
+            y = np.outer(_cgauss(rng, n), _cgauss(rng, n).conj())
+        yield n, [x, y]
+
+
+def _tau_gram_defect(basis):
+    U = basis.unit_rows()
+    return float(np.abs(U.conj() @ U.T - np.eye(basis.dim)).max(initial=0.0))
+
+
+def test_commutant_matches_one_stack_reference():
+    cases = [(n, [x]) for n, x in _adversarial_generators(2000)]
+    cases += [(n, [x]) for n, x in _rank_one_generators(300)]
+    cases += list(_mixed_pairs(100))
+    differ, defects = [], []
+    for trial, (n, gens) in enumerate(cases):
+        c, ref = commutant(gens), reference_commutant(gens)
+        cc, ref2 = commutant(c), reference_commutant(ref)
+        if (c.dim, cc.dim) != (ref.dim, ref2.dim):
+            differ.append((trial, n, c.dim, ref.dim, cc.dim, ref2.dim))
+        defects.append(max(_tau_gram_defect(c), _tau_gram_defect(cc)))
+    assert differ == []
+    assert max(defects) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_commutant_of_shift_pair_equals_reference(k):
+    gens = list(shift_pair(standard_units(k)))
+    assert equal(commutant(gens), reference_commutant(gens))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutant_memory_does_not_grow_with_generators():
+    rng = np.random.default_rng(4)
+    gens = [_cgauss(rng, (12, 12)) for _ in range(12)]
+    one = _traced_peak(lambda: commutant(gens[:1]))
+    twelve = _traced_peak(lambda: commutant(gens))
+    assert twelve <= 2 * one
