@@ -90,6 +90,16 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def _working_field(stack: np.ndarray) -> np.ndarray:
+    """The stack as contiguous float64 when every imaginary part is exactly
+    zero, else unchanged. A *-algebra generated by real matrices is the
+    complexification of the real algebra they generate, so kernels that only
+    multiply, project and factor the stack may run in real arithmetic."""
+    if np.iscomplexobj(stack) and not stack.imag.any():
+        return np.ascontiguousarray(stack.real)
+    return stack
+
+
 def same_dim(*mats: np.ndarray) -> int:
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:

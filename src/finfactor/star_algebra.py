@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matrix_core import DEFAULT_TOL, ToleranceConfig, as_matrix, identity, same_dim
+from .matrix_core import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _working_field,
+    as_matrix,
+    identity,
+    same_dim,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +76,17 @@ class _SpanBuilder:
     less the W-coordinates Y of the rows admitted since. Survivors then get
     both passes off the span as before, so the admission decisions and the
     rows admitted are those of the span-side prefilter.
+
+    Rows, W and Y hold the builder's dtype: float64 for a span of real
+    candidates, complex128 otherwise. A real builder refuses complex
+    candidates, whose imaginary parts a cast would drop.
     """
 
-    def __init__(self, n: int, tol: float):
+    def __init__(self, n: int, tol: float, dtype=np.complex128):
         self.n = n
         self.N = n * n
         self.tol = tol
-        self._rows = np.zeros((64, self.N), dtype=np.complex128)
+        self._rows = np.zeros((64, self.N), dtype=dtype)
         self.dim = 0
         self._W = None  # complement basis, (r, N)
         self._Y = None  # W-coordinates of the rows admitted since W was built
@@ -83,7 +94,7 @@ class _SpanBuilder:
     def _grow(self):
         if self.dim == self._rows.shape[0]:
             cap = min(max(2 * self.dim, 64), self.N)
-            rows = np.zeros((cap, self.N), dtype=np.complex128)
+            rows = np.zeros((cap, self.N), dtype=self._rows.dtype)
             rows[: self.dim] = self._rows[: self.dim]
             self._rows = rows
 
@@ -125,11 +136,14 @@ class _SpanBuilder:
     def absorb(self, cands: np.ndarray) -> int:
         """Absorb a stack of candidate vectors (m, N); returns count admitted."""
         start = self.dim
-        C = np.ascontiguousarray(cands, dtype=np.complex128)
+        C = np.asarray(cands)
+        if C.dtype.kind == "c" and self._rows.dtype.kind == "f":
+            raise TypeError(f"{C.dtype} candidates for a {self._rows.dtype} span")
+        C = np.ascontiguousarray(C, dtype=self._rows.dtype)
         bars = self.tol * np.linalg.norm(C, axis=1)
         if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
             self._W = _complement(self.q())
-            self._Y = np.zeros((0, self._W.shape[0]), dtype=np.complex128)
+            self._Y = np.zeros((0, self._W.shape[0]), dtype=self._rows.dtype)
         if self._W is None:
             R = self._project_off(C, start)
             survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
@@ -163,7 +177,7 @@ class _SpanBuilder:
             if 2 * len(self._Y) > len(self._W):
                 # shrink W to the complement of the new rows within W
                 self._W = _complement(self._Y) @ self._W
-                self._Y = np.zeros((0, self._W.shape[0]), dtype=np.complex128)
+                self._Y = np.zeros((0, self._W.shape[0]), dtype=self._rows.dtype)
         return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:
@@ -198,6 +212,11 @@ def generate(
     the previous round (semi-naive closure): older pairs were absorbed then.
     An empty generator list yields the scalars (ambient_dim must then be
     given). Stops early once the span is all of M_n.
+
+    When every generator is real (all imaginary parts exactly zero), the
+    whole closure runs in float64: products of real rows are real, and a real
+    orthonormal basis of the real algebra is a complex basis of the complex
+    one. The returned elements are complex128 either way.
     """
     gens = [as_matrix(g) for g in generators]
     if gens:
@@ -212,9 +231,10 @@ def generate(
         n = ambient_dim
     N = n * n
 
-    builder = _SpanBuilder(n, cfg.span_tol)
     seed = [identity(n)] + gens + [g.conj().T for g in gens]
-    builder.absorb(np.stack([m.reshape(N) for m in seed]))
+    seed = _working_field(np.stack([m.reshape(N) for m in seed]))
+    builder = _SpanBuilder(n, cfg.span_tol, seed.dtype)
+    builder.absorb(seed)
 
     done = 0  # every product of two of the first `done` rows is already absorbed
     while builder.dim < N:
@@ -228,7 +248,8 @@ def generate(
             break
         done = start_dim
 
-    return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
+    elements = builder.tau_orthonormal().astype(np.complex128, copy=False)
+    return AlgebraBasis(ambient_dim=n, elements=elements)
 
 
 def full_matrix_basis(n: int) -> AlgebraBasis:
@@ -259,13 +280,17 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     R. R*R is the Gram matrix of the stack, so the singular values, the
     null-space threshold and the null space are those of the stack, while
     memory stays O(n^4) whatever the number of generators.
+
+    When every generator is real, the slabs, R and the SVD are float64: the
+    constraint map is then real, and a real basis of its null space spans
+    the complex one. The returned elements are complex128 either way.
     """
     n, gens = _generator_list(a)
     N = n * n
-    eye = np.eye(n, dtype=np.complex128)
-    seen = np.stack(gens + [g.conj().T for g in gens])
+    seen = _working_field(np.stack(gens + [g.conj().T for g in gens]))
+    eye = np.eye(n, dtype=seen.dtype)
     per_slab = max(1, _COMMUTANT_SLAB_ROWS // N)
-    R = np.zeros((0, N), dtype=np.complex128)
+    R = np.zeros((0, N), dtype=seen.dtype)
     for lo in range(0, len(seen), per_slab):
         part = seen[lo : lo + per_slab]
         # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
@@ -278,7 +303,7 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     null_mask = svals <= cfg.span_tol * max(1.0, smax)
     null_rows = vh[null_mask].conj()
     elements = math.sqrt(n) * null_rows.reshape(-1, n, n)
-    return AlgebraBasis(ambient_dim=n, elements=np.ascontiguousarray(elements))
+    return AlgebraBasis(ambient_dim=n, elements=elements.astype(np.complex128, copy=False))
 
 
 def contains(

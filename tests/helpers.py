@@ -2,10 +2,12 @@
 separate from the library's algorithms: closure dimension via greedy rank
 selection with matrix_rank, block counts via direct submatrix slicing, the
 unblocked closure engine as the differential reference for generate, and the
-one-swap-at-a-time grouping search as the reference for the batched one, and
-the one-stack commutant as the differential reference for the streamed one."""
+one-swap-at-a-time grouping search as the reference for the batched one,
+the one-stack commutant as the differential reference for the streamed one,
+and a tracemalloc probe of a call's peak allocation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -114,6 +116,16 @@ def reference_commutant(a, cfg=DEFAULT_TOL):
     null_mask = svals <= cfg.span_tol * max(1.0, smax)
     elements = math.sqrt(n) * vh[null_mask].conj().reshape(-1, n, n)
     return AlgebraBasis(ambient_dim=n, elements=np.ascontiguousarray(elements))
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_grouping_count(sq_mags, thresholds_sq, assign, k):

@@ -18,6 +18,9 @@ from finfactor import (
     verify,
 )
 from finfactor.errors import DimensionOverflow, SupportMismatch, SystemTooSmall
+from finfactor.matrix_core import random_unitary
+
+from helpers import traced_peak
 
 
 class TestStandardUnits:
@@ -206,3 +209,46 @@ class TestVerifyWithTightTolerance:
         for sizes in ([2, 3], [3, 4]):
             rep = verify(nested_product(corner_chain(sizes), cfg), cfg)
             assert rep.passed
+
+
+def _rotated_units(k, copies, seed):
+    """amplified_units(k, copies) conjugated by a seeded orthogonal matrix:
+    real units whose axiom residuals are rounding, not zero."""
+    units = amplified_units(k, copies).units
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(units.shape[2:]))
+    return q @ units @ q.T
+
+
+def _phased(units, seed):
+    """The units conjugated by a non-real diagonal unitary."""
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.1, 3.0, units.shape[2]))
+    return phases[:, None] * units * phases.conj()
+
+
+class TestVerifyRealUnits:
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("k, copies", [(3, 4), (4, 3), (6, 2)])
+    def test_same_report_as_phased_copy(self, k, copies, broken):
+        units = _rotated_units(k, copies, seed=k)
+        if broken:
+            units[0, 1] *= 1 + 1e-6
+        real = verify(system_from_units(units))
+        phased = verify(system_from_units(_phased(units, seed=k)))
+        assert real.passed == phased.passed == (not broken)
+        assert real.full == phased.full
+        for name in ("adjoint_residual", "product_residual", "support_residual", "trace_spread"):
+            assert abs(getattr(real, name) - getattr(phased, name)) <= 1e-15
+
+    def test_real_units_run_in_real_arithmetic(self):
+        real = nested_product(corner_chain([3, 4]))
+        phased = system_from_units(_phased(real.units, seed=1))
+        assert traced_peak(lambda: verify(real)) <= 0.8 * traced_peak(lambda: verify(phased))
+
+
+def test_nested_product_commutes_with_unitary_conjugation():
+    # dense complex units: every entry of the two batched products matters
+    chain = corner_chain([3, 2, 2])
+    u = random_unitary(12, np.random.default_rng(8))
+    turned = [system_from_units(u @ s.units @ u.conj().T) for s in chain]
+    expected = u @ nested_product(chain).units @ u.conj().T
+    assert np.abs(nested_product(turned).units - expected).max() <= 1e-13

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -29,6 +27,7 @@ from helpers import (
     closure_dim_oracle,
     reference_closure_dim,
     reference_commutant,
+    traced_peak,
     two_block_element,
 )
 
@@ -446,18 +445,88 @@ def test_commutant_of_shift_pair_equals_reference(k):
     assert equal(commutant(gens), reference_commutant(gens))
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_commutant_memory_does_not_grow_with_generators():
     rng = np.random.default_rng(4)
     gens = [_cgauss(rng, (12, 12)) for _ in range(12)]
-    one = _traced_peak(lambda: commutant(gens[:1]))
-    twelve = _traced_peak(lambda: commutant(gens))
+    one = traced_peak(lambda: commutant(gens[:1]))
+    twelve = traced_peak(lambda: commutant(gens))
     assert twelve <= 2 * one
+
+
+# --- real field: every input real, the kernels run in float64 ------------------
+
+
+def _real_adversarial_generators(count):
+    """Seeded real single generators at n = 2..6: sparse (density 0.3),
+    nilpotent, rank-1, and sparse scaled by 1e-6 and by 1e6."""
+    rng = np.random.default_rng(5)
+    for trial in range(count):
+        n, kind = 2 + trial % 5, (trial // 5) % 5
+        if kind == 1:
+            x = np.triu(rng.standard_normal((n, n)), 1)
+        elif kind == 2:
+            x = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        else:
+            x = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+            x = x * {0: 1.0, 3: 1e-6, 4: 1e6}[kind]
+        yield n, x
+
+
+def test_real_generators_match_complex_references():
+    differ, defects = [], []
+    for trial, (n, x) in enumerate(_real_adversarial_generators(2000)):
+        # complex128 with zero imaginary parts, as the towers arrive
+        gens = [x.astype(np.complex128)]
+        basis, c = generate(gens), commutant(gens)
+        cc = commutant(c)
+        ref = reference_commutant(gens)
+        ref2 = reference_commutant(ref)
+        got = (basis.dim, c.dim, cc.dim)
+        want = (reference_closure_dim(gens, n), ref.dim, ref2.dim)
+        if got != want:
+            differ.append((trial, n, got, want))
+        assert {b.elements.dtype for b in (basis, c, cc)} == {np.dtype(np.complex128)}
+        defects.append(max(_tau_gram_defect(b) for b in (basis, c, cc)))
+    assert differ == []
+    assert max(defects) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["plain", "orthogonal"])
+@pytest.mark.parametrize(
+    "sizes, dim", [((12, 4), 160), ((15, 1), 226), ((15, 2), 229), ((16, 2), 260)]
+)
+def test_real_proper_subalgebra_past_half_of_m_n(sizes, dim, variant):
+    # real direct sums at n = 16..18: the complement prefilter runs in float64
+    rng = np.random.default_rng(sum(sizes) + 100)
+    gens = [_direct_sum([rng.standard_normal((s, s)) for s in sizes]) for _ in range(2)]
+    if variant == "orthogonal":
+        o, _ = np.linalg.qr(rng.standard_normal((sum(sizes), sum(sizes))))
+        gens = [o @ g @ o.T for g in gens]
+    basis = generate(gens)
+    assert basis.dim == dim
+    assert equal(basis, commutant(commutant(gens)))
+
+
+def _tower_and_phased_copy():
+    """A real tower pair and the same pair conjugated by a non-real diagonal
+    unitary: the same algebra up to unitary equivalence, in complex arithmetic."""
+    x1, x2, _ = hyperfinite_pair([3, 3])
+    phases = np.exp(1j * np.random.default_rng(6).uniform(0.1, 3.0, x1.shape[0]))
+    d = np.diag(phases)
+    return [x1, x2], [d @ x1 @ d.conj().T, d @ x2 @ d.conj().T]
+
+
+@pytest.mark.parametrize("kernel, bound", [(generate, 0.9), (commutant, 0.7)])
+def test_real_inputs_run_in_real_arithmetic(kernel, bound):
+    real, phased = _tower_and_phased_copy()
+    assert not any(x.imag.any() for x in real) and any(x.imag.any() for x in phased)
+    assert kernel(real).dim == kernel(phased).dim
+    ratio = traced_peak(lambda: kernel(real)) / traced_peak(lambda: kernel(phased))
+    assert ratio <= bound
+
+
+def test_real_span_refuses_complex_candidates():
+    builder = _SpanBuilder(2, 1e-8, np.float64)
+    with pytest.raises(TypeError):
+        builder.absorb(np.ones((1, 4), dtype=np.complex128))
+    assert builder.absorb(np.eye(4)) == 4
