@@ -52,9 +52,10 @@ _COMMUTANT_SLAB_ROWS = 400
 
 def _complement(rows: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the orthogonal complement of the span of
-    orthonormal rows: the trailing columns of a complete QR."""
+    orthonormal rows: the trailing columns of a complete QR, copied out so
+    that the result does not keep the whole factor alive."""
     q, _ = np.linalg.qr(rows.conj().T, mode="complete")
-    return q[:, rows.shape[0] :].conj().T
+    return np.conjugate(q[:, rows.shape[0] :]).T
 
 
 class _SpanBuilder:
@@ -80,23 +81,45 @@ class _SpanBuilder:
     Rows, W and Y hold the builder's dtype: float64 for a span of real
     candidates, complex128 otherwise. A real builder refuses complex
     candidates, whose imaginary parts a cast would drop.
+
+    The projections multiply by the conjugates of the rows and of W, which
+    are kept rather than formed on every call: _rows_conj[:dim] equals
+    _rows[:dim].conj() whenever it is read, so every write to the rows (an
+    admission, the end pass) writes the mirror too, and _W_conj is formed
+    each time W is built or shrunk. In a real builder both are the arrays
+    themselves, since conjugation is then the identity.
     """
 
     def __init__(self, n: int, tol: float, dtype=np.complex128):
         self.n = n
         self.N = n * n
         self.tol = tol
-        self._rows = np.zeros((64, self.N), dtype=dtype)
         self.dim = 0
+        self._set_rows(np.zeros((64, self.N), dtype=dtype))
         self._W = None  # complement basis, (r, N)
+        self._W_conj = None
         self._Y = None  # W-coordinates of the rows admitted since W was built
+
+    def _set_rows(self, rows: np.ndarray):
+        self._rows = rows
+        self._rows_conj = rows.conj()  # rows itself when real
+
+    def _sync_conj(self, lo: int, hi: int):
+        """Rewrite the mirror of rows lo..hi after they changed."""
+        if self._rows_conj is not self._rows:
+            np.conjugate(self._rows[lo:hi], out=self._rows_conj[lo:hi])
+
+    def _set_complement(self, W: np.ndarray):
+        self._W = W
+        self._W_conj = W.conj()
+        self._Y = np.zeros((0, W.shape[0]), dtype=self._rows.dtype)
 
     def _grow(self):
         if self.dim == self._rows.shape[0]:
             cap = min(max(2 * self.dim, 64), self.N)
             rows = np.zeros((cap, self.N), dtype=self._rows.dtype)
             rows[: self.dim] = self._rows[: self.dim]
-            self._rows = rows
+            self._set_rows(rows)
 
     def q(self) -> np.ndarray:
         return self._rows[: self.dim]
@@ -105,8 +128,7 @@ class _SpanBuilder:
         """C minus its projection onto the first dim rows of the span."""
         if not dim:
             return C
-        Q = self._rows[:dim]
-        return C - (C @ Q.conj().T) @ Q
+        return C - (C @ self._rows_conj[:dim].T) @ self._rows[:dim]
 
     def _admit(self, R: np.ndarray, bars: np.ndarray, start: int):
         """Admit the rows of R, already orthogonal to the first start rows,
@@ -121,6 +143,7 @@ class _SpanBuilder:
             if r > bar:
                 self._grow()
                 self._rows[self.dim] = v / r
+                self._sync_conj(self.dim, self.dim + 1)
                 self.dim += 1
                 if self.dim == self.N:
                     break
@@ -142,8 +165,7 @@ class _SpanBuilder:
         C = np.ascontiguousarray(C, dtype=self._rows.dtype)
         bars = self.tol * np.linalg.norm(C, axis=1)
         if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
-            self._W = _complement(self.q())
-            self._Y = np.zeros((0, self._W.shape[0]), dtype=self._rows.dtype)
+            self._set_complement(_complement(self.q()))
         if self._W is None:
             R = self._project_off(C, start)
             survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
@@ -151,7 +173,7 @@ class _SpanBuilder:
                 return 0
             R = R[survivors]
         else:
-            Z = C @ self._W.conj().T
+            Z = C @ self._W_conj.T
             if len(self._Y):
                 Z -= (Z @ self._Y.conj().T) @ self._Y
             survivors = np.nonzero(np.linalg.norm(Z, axis=1) > bars)[0]
@@ -165,6 +187,7 @@ class _SpanBuilder:
             # the cancellation factor, so the new rows get one more pass
             new = self._rows[start : self.dim]
             new[:] = self._project_off(new, start)
+            self._sync_conj(start, self.dim)
             # removing an entry-span component eps moves a row norm off 1 by
             # eps^2/2 and the block's inner products by as much; past
             # _RENORM_GATE, the block may have lost orthonormality or even
@@ -172,17 +195,23 @@ class _SpanBuilder:
             if np.abs(np.linalg.norm(new, axis=1) - 1.0).max() > _RENORM_GATE:
                 self._readmit(start)
         if self._W is not None and self.dim > start:
-            new_y = self._rows[start : self.dim] @ self._W.conj().T
+            new_y = self._rows[start : self.dim] @ self._W_conj.T
             self._Y = np.vstack([self._Y, new_y])
             if 2 * len(self._Y) > len(self._W):
                 # shrink W to the complement of the new rows within W
-                self._W = _complement(self._Y) @ self._W
-                self._Y = np.zeros((0, self._W.shape[0]), dtype=self._rows.dtype)
+                self._set_complement(_complement(self._Y) @ self._W)
         return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:
+        """The rows as tau-orthonormal complex128 matrices (dim, n, n),
+        scaled straight into the output. The complement basis is released
+        first, so it is not held alongside the output (a later absorb
+        builds it again)."""
         n = self.n
-        return (self.q() * math.sqrt(n)).reshape(self.dim, n, n)
+        self._W = self._W_conj = self._Y = None
+        out = np.empty((self.dim, n, n), dtype=np.complex128)
+        np.multiply(self.q().reshape(self.dim, n, n), math.sqrt(n), out=out)
+        return out
 
 
 _PRODUCT_CHUNK = 1024
@@ -235,7 +264,15 @@ def generate(
     seed = _working_field(np.stack([m.reshape(N) for m in seed]))
     builder = _SpanBuilder(n, cfg.span_tol, seed.dtype)
     builder.absorb(seed)
+    _close(builder)
+    return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
 
+
+def _close(builder: _SpanBuilder):
+    """Absorb products of basis pairs until a round adds nothing or the span
+    is all of M_n. The last product block dies with this frame, before the
+    caller builds its output."""
+    n, N = builder.n, builder.N
     done = 0  # every product of two of the first `done` rows is already absorbed
     while builder.dim < N:
         start_dim = builder.dim
@@ -247,9 +284,6 @@ def generate(
         if builder.dim == start_dim:
             break
         done = start_dim
-
-    elements = builder.tau_orthonormal().astype(np.complex128, copy=False)
-    return AlgebraBasis(ambient_dim=n, elements=elements)
 
 
 def full_matrix_basis(n: int) -> AlgebraBasis:
@@ -265,6 +299,25 @@ def _generator_list(a):
     if not gens:
         raise DimensionMismatch("commutant of an empty list needs an AlgebraBasis or matrices")
     return same_dim(*gens), gens
+
+
+def _scalar_set(seen: np.ndarray, bound: float) -> bool:
+    """True when sum over g in seen of 2n ||g - (tr g / n) I||_F^2 <= bound^2.
+
+    The block x -> xg - gx has exactly that squared Frobenius norm (the
+    cross term is |tr h|^2 = 0 for the traceless part h of g), and the
+    Frobenius norm of the stack bounds each of its singular values. The sum
+    is formed one matrix at a time and stops once it passes the bound."""
+    n = seen.shape[1]
+    diag = np.arange(n)
+    total, limit = 0.0, bound * bound
+    for g in seen:
+        h = g.copy()
+        h[diag, diag] -= np.trace(g) / n
+        total += 2 * n * float(np.vdot(h, h).real)
+        if not total <= limit:  # a NaN entry takes the SVD route too
+            return False
+    return True
 
 
 def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
@@ -284,10 +337,22 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     When every generator is real, the slabs, R and the SVD are float64: the
     constraint map is then real, and a real basis of its null space spans
     the complex one. The returned elements are complex128 either way.
+
+    A scalar set returns full_matrix_basis(n) before any slab is built. The
+    block of g has Frobenius norm sqrt(2n) ||g - (tr g / n) I||_F, and the
+    Frobenius norm of the stack bounds every singular value of the stack and
+    so of R. When the squares summed over the generators and adjoints stay
+    within (span_tol / 2)^2, every singular value is at most span_tol / 2,
+    below the threshold span_tol * max(1, smax), so the SVD would mark every
+    direction null; the factor 2 absorbs rounding. The commutant of an
+    irreducible set is the scalars, so this is the second step of every
+    double commutant G'' that reaches M_n.
     """
     n, gens = _generator_list(a)
     N = n * n
     seen = _working_field(np.stack(gens + [g.conj().T for g in gens]))
+    if _scalar_set(seen, cfg.span_tol / 2):
+        return full_matrix_basis(n)
     eye = np.eye(n, dtype=seen.dtype)
     per_slab = max(1, _COMMUTANT_SLAB_ROWS // N)
     R = np.zeros((0, N), dtype=seen.dtype)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from finfactor import (
+    DEFAULT_TOL,
     amplified_units,
     commutant,
     contains,
@@ -17,6 +20,7 @@ from finfactor import (
     standard_units,
     unit_matrix,
 )
+from finfactor import star_algebra
 from finfactor.errors import DimensionMismatch
 from finfactor.matrix_core import random_hermitian, random_matrix, random_unitary
 from finfactor.star_algebra import _SpanBuilder
@@ -530,3 +534,182 @@ def test_real_span_refuses_complex_candidates():
     with pytest.raises(TypeError):
         builder.absorb(np.ones((1, 4), dtype=np.complex128))
     assert builder.absorb(np.eye(4)) == 4
+
+
+# --- scalar sets: their commutant is M_n, answered without a factorization -----
+
+
+def _scalar_sets():
+    scalars = commutant(list(shift_pair(standard_units(12))))
+    assert scalars.dim == 1
+    return {
+        "identity": [identity(4)],
+        "phase": [np.exp(0.7j) * identity(5)],
+        "zero": [np.zeros((3, 3), dtype=complex)],
+        "shift_pair_k12_scalars": scalars,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "phase", "zero", "shift_pair_k12_scalars"]
+)
+def test_commutant_of_a_scalar_set_is_m_n(name):
+    a = _scalar_sets()[name]
+    c = commutant(a)
+    n = c.ambient_dim
+    assert c.dim == n * n == reference_commutant(a).dim
+    assert c.elements.tobytes() == full_matrix_basis(n).elements.tobytes()
+
+
+def test_scalar_set_commutant_needs_no_factorization(monkeypatch):
+    sets = _scalar_sets()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar set reached the SVD")
+
+    monkeypatch.setattr(star_algebra.np.linalg, "svd", refuse)
+    for a in sets.values():
+        c = commutant(a)
+        assert c.dim == c.ambient_dim ** 2
+    with pytest.raises(AssertionError):
+        commutant([sym_shift(3)])
+
+
+@pytest.mark.parametrize("fraction", [0.4, 0.6])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_near_scalar_sets_on_both_sides_of_the_cut(n, fraction, monkeypatch):
+    # I + s h for two traceless h, scaled so that the Frobenius norm of the
+    # constraint stack, sqrt(sum over generators and adjoints of
+    # 2n ||s h||^2), is fraction * span_tol; the cut is at span_tol / 2
+    rng = np.random.default_rng([n, 40])
+    hs = [_cgauss(rng, (n, n)) for _ in range(2)]
+    hs = [h - np.trace(h) / n * np.eye(n) for h in hs]
+    frob = np.sqrt(4 * n * sum(np.vdot(h, h).real for h in hs))
+    gens = [identity(n) + (fraction * DEFAULT_TOL.span_tol / frob) * h for h in hs]
+    ref = reference_commutant(gens)
+    ref2 = reference_commutant(ref)
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(star_algebra.np.linalg, "svd", counted)
+    c = commutant(gens)
+    assert len(calls) == (0 if fraction < 0.5 else 1)
+    assert (c.dim, commutant(c).dim) == (ref.dim, ref2.dim) == (n * n, 1)
+
+
+# --- the builder's conjugate mirror and compact complement -------------------------
+
+
+def _mirror_is_exact(builder):
+    d = builder.dim
+    return builder._rows_conj[:d].tobytes() == builder._rows[:d].conj().tobytes()
+
+
+def _mirror_case(case, rng):
+    """(n, span_tol, blocks) whose last block makes the end pass change
+    bits, runs the readmission pass with W in place, or grows the rows."""
+    if case == "end_pass":
+        n = 5
+        return n, 1e-8, [_cgauss(rng, (8, n * n)), _cgauss(rng, (6, n * n))]
+    if case == "readmission":
+        # the near-duplicate blocks of test_coordinates_follow_the_readmission_pass
+        n = 16
+        N = n * n
+        a = _cgauss(rng, (4, N))
+        entry = _cgauss(rng, (N // 2 + 12, N))
+        return n, 1e-12, [entry, np.vstack([a, a + 1e-10 * _cgauss(rng, (4, N))])]
+    n = 9
+    return n, 1e-8, [_cgauss(rng, (60, n * n)), _cgauss(rng, (10, n * n))]
+
+
+@pytest.mark.parametrize("case", ["end_pass", "readmission", "grow"])
+def test_conjugate_mirror_follows_every_write(case, monkeypatch):
+    n, tol, blocks = _mirror_case(case, np.random.default_rng(16))
+    fast = _SpanBuilder(n, tol)
+    events = []
+    project_off, readmit, grow = fast._project_off, fast._readmit, fast._grow
+
+    def spy_project_off(C, dim):
+        out = project_off(C, dim)
+        if np.shares_memory(C, fast._rows):  # the end pass
+            events.append(("end_pass", out.tobytes() != C.tobytes()))
+        return out
+
+    def spy_readmit(start):
+        events.append(("readmission", fast._W is not None))
+        return readmit(start)
+
+    def spy_grow():
+        if fast.dim == fast._rows.shape[0]:
+            events.append(("grow", True))
+        return grow()
+
+    monkeypatch.setattr(fast, "_project_off", spy_project_off)
+    monkeypatch.setattr(fast, "_readmit", spy_readmit)
+    monkeypatch.setattr(fast, "_grow", spy_grow)
+    for block in blocks:
+        events.clear()
+        assert fast.absorb(block) > 0
+        assert _mirror_is_exact(fast)
+    assert (case, True) in events
+    if case == "end_pass":
+        assert not any(name == "readmission" for name, _ in events)
+
+
+@pytest.mark.parametrize("name", ["shift_pair", "fused"])
+def test_conjugate_mirror_gives_the_bases_of_fresh_conjugation(name, monkeypatch):
+    gens = _full_m16_generators()[name]
+    kept = generate(gens).elements
+    # every read of a conjugate forms it afresh; writes to the mirror are dropped
+    fresh_rows = property(lambda self: self._rows.conj(), lambda self, v: None)
+    fresh_W = property(
+        lambda self: None if self._W is None else self._W.conj(), lambda self, v: None
+    )
+    monkeypatch.setattr(_SpanBuilder, "_rows_conj", fresh_rows, raising=False)
+    monkeypatch.setattr(_SpanBuilder, "_W_conj", fresh_W, raising=False)
+    fresh = generate(gens).elements
+    assert kept.shape == (256, 16, 16)
+    assert kept.tobytes() == fresh.tobytes()
+
+
+def test_real_complement_owns_only_its_rows():
+    n = 16
+    N = n * n
+    rng = np.random.default_rng(17)
+    builder = _SpanBuilder(n, 1e-8, np.float64)
+    builder.absorb(rng.standard_normal((N // 2 + 8, N)))
+    builder.absorb(rng.standard_normal((4, N)))
+    W = builder._W
+    assert W.shape == (N - (N // 2 + 8), N)
+    assert builder._rows_conj is builder._rows and builder._W_conj is W
+    root = W
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == W.nbytes
+
+
+@pytest.mark.parametrize("case", ["tower_3_3_3", "sum_12_4"])
+def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
+    # once the closure ends, only the rows (and the copies of the inputs, under
+    # 100 KiB here) are left beside the complex128 output, written in place:
+    # no float64 copy of it, no complement basis and no product block
+    if case == "tower_3_3_3":
+        x1, x2, _ = hyperfinite_pair([3, 3, 3])
+        gens = [x1, x2]
+    else:
+        rng = np.random.default_rng(116)
+        gens = [_direct_sum([rng.standard_normal((s, s)) for s in (12, 4)]) for _ in range(2)]
+    close, rows = star_algebra._close, []
+
+    def end_of_closure(builder):
+        close(builder)
+        rows.append(builder._rows.nbytes)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(star_algebra, "_close", end_of_closure)
+    basis = generate(gens)
+    peak = traced_peak(lambda: generate(gens))
+    assert peak <= rows[-1] + basis.elements.nbytes + 160 * 1024
