@@ -87,10 +87,10 @@ def _compressions(seed: int, eta):
 
 
 def _blocky_element(fam, pairs, rng):
-    n = fam.ambient_dim
+    n, p = fam.ambient_dim, fam.projections
     x = np.zeros((n, n), dtype=np.complex128)
     for i, j in pairs:
-        x += fam.projections[i] @ random_matrix(n, rng) @ fam.projections[j]
+        x += p[i] @ random_matrix(n, rng) @ p[j]
     return x
 
 

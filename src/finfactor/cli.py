@@ -26,7 +26,6 @@ from .errors import (
     NotDivisible,
     NotSelfAdjoint,
     NumericalFailure,
-    RankMismatch,
     SizeMismatch,
     SupportMismatch,
     SupportTooLarge,
@@ -55,7 +54,6 @@ _PRECONDITION_ERRORS = (
     DimensionMismatch,
     DimensionOverflow,
     SizeMismatch,
-    RankMismatch,
     SystemTooSmall,
     SupportMismatch,
     FactorTooSmall,
@@ -102,6 +100,10 @@ def _units_from_doc(doc) -> matrix_units.MatrixUnitSystem:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise FileFormatError(f"'k' must be a positive integer, got {k!r}")
     raw = doc["units"]
+    if not isinstance(raw, dict):
+        raise FileFormatError(
+            f"'units' must be an object of named matrices, got {type(raw).__name__}"
+        )
     mats = {}
     for i in range(k):
         for j in range(k):
@@ -260,9 +262,7 @@ def cmd_sparsity(args) -> int:
     )
     doc = {
         "report": rep.to_doc(),
-        "family": {
-            f"p_{j + 1}": matrix_to_doc(fam.projections[j]) for j in range(fam.k)
-        },
+        "family": {f"p_{j + 1}": matrix_to_doc(p) for j, p in enumerate(fam.projections)},
     }
     if args.out:
         _write_out(Path(args.out).parent or ".", {Path(args.out).name: doc})
@@ -389,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="compress, synthesize, and fuse a tuple")
     pipe.add_argument("inputs", nargs="+", help="matrix JSON files forming the tuple")
-    pipe.add_argument("--units-k", type=int, default=None,
-                      help="standard unit-system size (default: ambient dim)")
-    pipe.add_argument("--units", default=None, help="unit bundle JSON file")
+    units = pipe.add_mutually_exclusive_group()
+    units.add_argument("--units-k", type=int, default=None,
+                       help="standard unit-system size (default: ambient dim)")
+    units.add_argument("--units", default=None, help="unit bundle JSON file")
     pipe.add_argument("--json", action="store_true")
     pipe.add_argument("--out", default=None, help="directory for final element + report")
     _add_tolerance_flags(pipe)

@@ -29,10 +29,6 @@ class SizeMismatch(FinfactorError):
     """Families or systems of different sizes were combined."""
 
 
-class RankMismatch(FinfactorError):
-    """Projections of unequal rank cannot be aligned."""
-
-
 class SystemTooSmall(FinfactorError):
     """The matrix-unit system is too small for the requested construction."""
 

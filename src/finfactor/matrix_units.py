@@ -8,7 +8,7 @@ system is "full" when the support is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from typing import Callable
 
@@ -69,10 +69,8 @@ def standard_units(k: int) -> MatrixUnitSystem:
     if k < 1:
         raise SystemTooSmall(f"system size must be >= 1, got {k}")
     check_dimension_cap(k)
-    units = np.zeros((k, k, k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            units[i, j] = unit_matrix(k, i, j)
+    # entry (i, j, a, b) of the reshaped identity is 1 iff (i, j) = (a, b)
+    units = np.eye(k * k, dtype=np.complex128).reshape(k, k, k, k)
     return MatrixUnitSystem(ambient_dim=k, k=k, units=units)
 
 
@@ -80,14 +78,8 @@ def amplified_units(k: int, copies: int) -> MatrixUnitSystem:
     """Full size-k system in M_{k*copies}: units e_ij (x) I_copies."""
     if k < 1 or copies < 1:
         raise SystemTooSmall(f"need k >= 1 and copies >= 1, got {k}, {copies}")
-    n = k * copies
-    check_dimension_cap(n)
-    eye = np.eye(copies, dtype=np.complex128)
-    units = np.zeros((k, k, n, n), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            units[i, j] = np.kron(unit_matrix(k, i, j), eye)
-    return MatrixUnitSystem(ambient_dim=n, k=k, units=units)
+    check_dimension_cap(k * copies)
+    return placed_units([k, copies], 0, identity)
 
 
 @dataclass(frozen=True)
@@ -113,16 +105,7 @@ class UnitSystemReport:
         )
 
     def to_doc(self) -> dict:
-        return {
-            "k": self.k,
-            "ambient_dim": self.ambient_dim,
-            "adjoint_residual": self.adjoint_residual,
-            "product_residual": self.product_residual,
-            "support_residual": self.support_residual,
-            "trace_spread": self.trace_spread,
-            "full": self.full,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSystemReport:
@@ -189,12 +172,10 @@ def tensor_units(a: MatrixUnitSystem, b: MatrixUnitSystem) -> MatrixUnitSystem:
     n = a.ambient_dim * b.ambient_dim
     check_dimension_cap(n)
     k = a.k * b.k
-    units = np.zeros((k, k, n, n), dtype=np.complex128)
-    for i in range(a.k):
-        for s in range(b.k):
-            for j in range(a.k):
-                for t in range(b.k):
-                    units[i * b.k + s, j * b.k + t] = np.kron(a.units[i, j], b.units[s, t])
+    # axes (i, s, j, t, rows, cols): entry [i, s, j, t] is e_ij (x) f_st
+    outer = a.units.reshape(a.k, 1, a.k, 1, a.ambient_dim, a.ambient_dim)
+    inner = b.units.reshape(1, b.k, 1, b.k, b.ambient_dim, b.ambient_dim)
+    units = np.kron(outer, inner).reshape(k, k, n, n)
     return MatrixUnitSystem(ambient_dim=n, k=k, units=units)
 
 

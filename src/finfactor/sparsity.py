@@ -9,6 +9,12 @@ among the k^2 possible ones; a block counts as nonzero when its Frobenius norm
 exceeds zero_block_eta times the norm of x. Because the index is a discrete
 invariant computed from continuous data, reports always carry the threshold
 together with exact rational values.
+
+A family is held as one unitary V whose j-th run of m = n/k columns, V_j,
+spans p_j = V_j V_j*. The block p_i x p_j then has the Frobenius norm of the
+(i, j) block of V* x V, so one product gives every block, and refinement and
+alignment read their bases off V instead of recovering them from the
+projections.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     FactorTooSmall,
     NotDivisible,
-    RankMismatch,
     SizeMismatch,
     SupportMismatch,
     UnknownStrategy,
@@ -32,11 +37,8 @@ from .matrix_core import (
     ToleranceConfig,
     as_matrix,
     check_dimension_cap,
-    direct_sum,
     frobenius_norm,
     identity,
-    normalized_trace,
-    projection_residual,
     random_hermitian,
     same_dim,
 )
@@ -65,28 +67,36 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProjectionFamily:
-    """k mutually orthogonal projections of trace 1/k summing to the identity."""
+    """k mutually orthogonal projections of trace 1/k summing to the identity,
+    held as a unitary whose columns j*m .. (j+1)*m - 1 (m = n/k) span member j."""
 
     ambient_dim: int
     k: int
-    projections: np.ndarray  # (k, n, n)
+    basis: np.ndarray  # (n, n) unitary
+
+    @property
+    def runs(self) -> np.ndarray:
+        """View (n, k, m) of the basis: runs[:, j] holds the columns of member j."""
+        n = self.ambient_dim
+        return self.basis.reshape(n, self.k, n // self.k)
+
+    @property
+    def projections(self) -> np.ndarray:
+        """Stack (k, n, n) of the members p_j = V_j V_j*."""
+        v = self.runs.transpose(1, 0, 2)
+        return v @ v.conj().transpose(0, 2, 1)
 
     def validate(self, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-        n, k, p = self.ambient_dim, self.k, self.projections
-        if p.shape != (k, n, n):
-            raise DimensionMismatch(f"expected shape {(k, n, n)}, got {p.shape}")
-        tol = cfg.structural_tol
-        for j in range(k):
-            if projection_residual(p[j]) > tol:
-                raise ValueError(f"member {j} is not a projection within {tol:.1e}")
-            if abs(normalized_trace(p[j]) - 1.0 / k) > tol:
-                raise ValueError(f"member {j} has trace != 1/{k}")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if frobenius_norm(p[i] @ p[j]) > tol:
-                    raise ValueError(f"members {i} and {j} are not orthogonal")
-        if frobenius_norm(p.sum(axis=0) - identity(n)) > tol:
-            raise ValueError("family does not sum to the identity")
+        n, k, v = self.ambient_dim, self.k, self.basis
+        if v.shape != (n, n):
+            raise DimensionMismatch(f"expected shape {(n, n)}, got {v.shape}")
+        if k < 1 or n % k:
+            raise NotDivisible(f"k={k} does not divide n={n}")
+        residual = frobenius_norm(v.conj().T @ v - identity(n))
+        if residual > cfg.structural_tol:
+            raise ValueError(
+                f"basis is not unitary within {cfg.structural_tol:.1e}: residual {residual:.3e}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +206,12 @@ def family_from_grouping(n: int, groups) -> ProjectionFamily:
     if n % k:
         raise NotDivisible(f"k={k} does not divide n={n}")
     m = n // k
-    seen = sorted(i for g in groups for i in g)
-    if seen != list(range(n)) or any(len(g) != m for g in groups):
+    order = [i for g in groups for i in g]
+    if sorted(order) != list(range(n)) or any(len(g) != m for g in groups):
         raise ValueError(f"groups must partition 0..{n - 1} into {k} parts of {m}")
-    proj = np.zeros((k, n, n), dtype=np.complex128)
-    for j, g in enumerate(groups):
-        for i in g:
-            proj[j, i, i] = 1.0
-    return ProjectionFamily(ambient_dim=n, k=k, projections=proj)
+    basis = np.zeros((n, n), dtype=np.complex128)
+    basis[order, np.arange(n)] = 1.0
+    return ProjectionFamily(ambient_dim=n, k=k, basis=basis)
 
 
 def conjugate_family(fam: ProjectionFamily, u: np.ndarray) -> ProjectionFamily:
@@ -211,17 +219,29 @@ def conjugate_family(fam: ProjectionFamily, u: np.ndarray) -> ProjectionFamily:
     u = as_matrix(u)
     if u.shape[0] != fam.ambient_dim:
         raise DimensionMismatch("unitary dimension does not match family")
-    proj = u @ fam.projections @ u.conj().T
-    return ProjectionFamily(ambient_dim=fam.ambient_dim, k=fam.k, projections=proj)
+    return ProjectionFamily(ambient_dim=fam.ambient_dim, k=fam.k, basis=u @ fam.basis)
 
 
 def family_from_units(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
-    """Diagonal units of a full system as a projection family."""
+    """Diagonal units of a full system as a projection family: run j of the
+    basis is e_j1 V_1, for V_1 an orthonormal basis of the range of e_11.
+    The runs of a unit system form a unitary; SupportMismatch is raised when
+    they are off one by more than structural_tol."""
     if not sys.is_full(cfg):
         raise SupportMismatch("projection families require a full unit system")
-    return ProjectionFamily(
-        ambient_dim=sys.ambient_dim, k=sys.k, projections=sys.diagonal_projections()
-    )
+    n, k = sys.ambient_dim, sys.k
+    if n % k:
+        raise SupportMismatch(f"a full system of size {k} cannot live in M_{n}")
+    _, vecs = np.linalg.eigh(sys.units[0, 0])
+    cols = sys.units[:, 0] @ vecs[:, n - n // k :]          # (k, n, m): e_j1 V_1
+    basis = cols.transpose(1, 0, 2).reshape(n, n)
+    residual = frobenius_norm(basis.conj().T @ basis - identity(n))
+    if residual > cfg.structural_tol:
+        raise SupportMismatch(
+            f"the units do not form a unit system: their column runs are off "
+            f"unitary by {residual:.3e}"
+        )
+    return ProjectionFamily(ambient_dim=n, k=k, basis=basis)
 
 
 # --- patterns, index, support -------------------------------------------------
@@ -232,14 +252,14 @@ def block_pattern(
     fam: ProjectionFamily,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> BlockPattern:
-    """Bit (i, j) set iff ||p_i x p_j||_F > zero_block_eta * ||x||_F."""
+    """Bit (i, j) set iff ||p_i x p_j||_F > zero_block_eta * ||x||_F, where
+    ||p_i x p_j||_F is the norm of the (i, j) block of V* x V."""
     x = as_matrix(x)
     if x.shape[0] != fam.ambient_dim:
         raise DimensionMismatch("element dimension does not match family")
-    p = fam.projections
-    left = p @ x                                  # (k, n, n)
-    blocks = np.matmul(left[:, None], p[None])    # (k, k, n, n)
-    norms = np.linalg.norm(blocks.reshape(fam.k, fam.k, -1), axis=2)
+    v, k = fam.basis, fam.k
+    blocks = (v.conj().T @ x @ v).reshape(k, fam.ambient_dim // k, k, -1)
+    norms = np.linalg.norm(blocks, axis=(1, 3))
     threshold = cfg.zero_block_eta * frobenius_norm(x)
     return BlockPattern(k=fam.k, bits=norms > threshold)
 
@@ -278,10 +298,11 @@ def support_mask(
     fam: ProjectionFamily,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Boolean mask over family members meeting x on either side."""
-    p = fam.projections
-    row = np.linalg.norm((p @ x).reshape(fam.k, -1), axis=1)
-    col = np.linalg.norm((x @ p).reshape(fam.k, -1), axis=1)
+    """Boolean mask over family members meeting x on either side:
+    ||p_j x||_F = ||V_j* x||_F and ||x p_j||_F = ||x V_j||_F."""
+    v, k, n = fam.basis, fam.k, fam.ambient_dim
+    row = np.linalg.norm((v.conj().T @ x).reshape(k, -1), axis=1)
+    col = np.linalg.norm((x @ v).reshape(n, k, -1), axis=(0, 2))
     threshold = cfg.zero_block_eta * frobenius_norm(x)
     return (row > threshold) | (col > threshold)
 
@@ -296,32 +317,23 @@ def support(
     x = as_matrix(x)
     if x.shape[0] != fam.ambient_dim:
         raise DimensionMismatch("element dimension does not match family")
-    p, mask = fam.projections, support_mask(x, fam, cfg)
-    proj = p[mask].sum(axis=0) if mask.any() else np.zeros_like(p[0])
-    return proj, Fraction(int(mask.sum()), fam.k)
+    mask = support_mask(x, fam, cfg)
+    cols = fam.runs[:, mask].reshape(fam.ambient_dim, -1)
+    return cols @ cols.conj().T, Fraction(int(mask.sum()), fam.k)
 
 
 def refine(fam: ProjectionFamily, r: int) -> ProjectionFamily:
-    """Split each member into r equal-trace subprojections via its range's
-    spectral basis; the index never increases under refinement."""
+    """Split each member into r equal-trace subprojections: the same basis
+    read in k*r runs, so member j's run splits into r consecutive ones. The
+    index never increases under refinement."""
     if r == 1:
         return fam
     if r < 1:
         raise NotDivisible(f"refinement factor must be >= 1, got {r}")
-    n, k = fam.ambient_dim, fam.k
-    out = np.zeros((k * r, n, n), dtype=np.complex128)
-    for j in range(k):
-        p = fam.projections[j]
-        rank = int(round(normalized_trace(p).real * n))
-        if rank % r:
-            raise NotDivisible(f"member {j} has rank {rank}, not divisible by r={r}")
-        sub = rank // r
-        _, vecs = np.linalg.eigh(p)
-        basis = vecs[:, n - rank :]          # range of p (eigenvalues ~1)
-        for s in range(r):
-            cols = basis[:, s * sub : (s + 1) * sub]
-            out[j * r + s] = cols @ cols.conj().T
-    return ProjectionFamily(ambient_dim=n, k=k * r, projections=out)
+    rank = fam.ambient_dim // fam.k
+    if rank % r:
+        raise NotDivisible(f"members have rank {rank}, not divisible by r={r}")
+    return ProjectionFamily(ambient_dim=fam.ambient_dim, k=fam.k * r, basis=fam.basis)
 
 
 # --- heuristic index minimization ----------------------------------------------
@@ -490,16 +502,12 @@ def direct_sum_family(fam_a: ProjectionFamily, fam_b: ProjectionFamily) -> Proje
     supported on the respective summands the indices add exactly."""
     if fam_a.k != fam_b.k:
         raise SizeMismatch(f"family sizes differ: {fam_a.k} vs {fam_b.k}")
-    n = fam_a.ambient_dim + fam_b.ambient_dim
-    proj = np.zeros((fam_a.k, n, n), dtype=np.complex128)
-    for j in range(fam_a.k):
-        proj[j] = direct_sum(fam_a.projections[j], fam_b.projections[j])
-    return ProjectionFamily(ambient_dim=n, k=fam_a.k, projections=proj)
-
-
-def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
-    _, vecs = np.linalg.eigh(p)
-    return vecs[:, p.shape[0] - rank :]
+    k, na, nb = fam_a.k, fam_a.ambient_dim, fam_b.ambient_dim
+    ma = na // k
+    runs = np.zeros((na + nb, k, ma + nb // k), dtype=np.complex128)
+    runs[:na, :, :ma] = fam_a.runs
+    runs[na:, :, ma:] = fam_b.runs
+    return ProjectionFamily(ambient_dim=na + nb, k=k, basis=runs.reshape(na + nb, -1))
 
 
 def align_families(
@@ -507,7 +515,8 @@ def align_families(
     F: ProjectionFamily,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unitaries (w1, w2) conjugating both families onto the standard diagonal
-    one: w1* e_j w1 = w2* f_j w2 = d_j for every j.
+    one: w1* e_j w1 = w2* f_j w2 = d_j for every j. These are the families'
+    own bases.
 
     Consequently any u with u* e_j u = f_j yields w1* u w2 commuting with every
     d_j, so its block pattern against the standard family is exactly diagonal
@@ -517,17 +526,7 @@ def align_families(
         raise SizeMismatch(f"family sizes differ: {E.k} vs {F.k}")
     if E.ambient_dim != F.ambient_dim:
         raise DimensionMismatch("families live in different ambient dimensions")
-    n, k = E.ambient_dim, E.k
-    ranks = []
-    for fam in (E, F):
-        for j in range(k):
-            ranks.append(int(round(normalized_trace(fam.projections[j]).real * n)))
-    if len(set(ranks)) != 1:
-        raise RankMismatch(f"projections have unequal ranks: {sorted(set(ranks))}")
-    rank = ranks[0]
-    w1 = np.hstack([_range_basis(E.projections[j], rank) for j in range(k)])
-    w2 = np.hstack([_range_basis(F.projections[j], rank) for j in range(k)])
-    return w1, w2
+    return E.basis, F.basis
 
 
 # --- explicit low-index generator pair -------------------------------------------

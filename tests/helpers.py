@@ -4,7 +4,9 @@ selection with matrix_rank, block counts via direct submatrix slicing, the
 unblocked closure engine as the differential reference for generate, and the
 one-swap-at-a-time grouping search as the reference for the batched one,
 the one-stack commutant as the differential reference for the streamed one,
-and a tracemalloc probe of a call's peak allocation."""
+block patterns and supports from k^2 products with the family's projections
+as the reference for the basis-based ones, and a tracemalloc probe of a
+call's peak allocation."""
 
 import math
 import tracemalloc
@@ -191,6 +193,25 @@ def grouping_block_count(x, groups, eta=DEFAULT_TOL.zero_block_eta):
             if np.linalg.norm(x[np.ix_(rows, cols)]) > threshold:
                 count += 1
     return count
+
+
+def reference_block_pattern(x, projections, eta=DEFAULT_TOL.zero_block_eta):
+    """Bits (i, j) with ||p_i x p_j||_F > eta ||x||_F, from all k^2 products."""
+    k = projections.shape[0]
+    threshold = eta * np.linalg.norm(x)
+    return np.array(
+        [[np.linalg.norm(projections[i] @ x @ projections[j]) > threshold for j in range(k)]
+         for i in range(k)]
+    )
+
+
+def reference_support_mask(x, projections, eta=DEFAULT_TOL.zero_block_eta):
+    """Members p_j with ||p_j x||_F or ||x p_j||_F above eta ||x||_F."""
+    threshold = eta * np.linalg.norm(x)
+    return np.array(
+        [np.linalg.norm(p @ x) > threshold or np.linalg.norm(x @ p) > threshold
+         for p in projections]
+    )
 
 
 def basis_invariant_residuals(basis, cfg=DEFAULT_TOL):

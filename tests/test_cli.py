@@ -188,6 +188,21 @@ class TestPipeline:
         assert main(["pipeline", block_file, "--units-k", "0"]) == 1
         assert "--units-k must be a positive integer" in capsys.readouterr().err
 
+    def test_units_and_units_k_conflict_is_usage_error(self, capsys, tmp_path, block_file):
+        main(["demo", "nested-units", "--sizes", "2,4", "--out", str(tmp_path)])
+        capsys.readouterr()
+        bundle = str(tmp_path / "units.json")
+        assert main(["pipeline", block_file, "--units", bundle, "--units-k", "0"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("units", [5, "e_1_1"], ids=["number", "string"])
+    def test_units_that_are_not_an_object_exit_one(self, capsys, tmp_path, block_file, units):
+        path = tmp_path / "bad-units.json"
+        path.write_text(json.dumps({"k": 1, "ambient_dim": 8, "units": units}))
+        assert main(["pipeline", block_file, "--units", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'units' must be an object") and err.count("\n") == 1
+
     def test_dimension_cap_exits_two(self, capsys, monkeypatch, block_file):
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "4")
         assert main(["pipeline", block_file]) == 2

@@ -61,6 +61,30 @@ class TestStandardUnits:
             assert generate(standard_units(k).unit_list()).dim == k * k
 
 
+def _loop_units(k, block):
+    """Units stacked one pair (i, j) at a time: block(i, j) is unit e_ij."""
+    return np.stack([np.stack([block(i, j) for j in range(k)]) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kronecker_builders_are_byte_identical_to_loops(k):
+    assert standard_units(k).units.tobytes() == _loop_units(k, lambda i, j: unit_matrix(k, i, j)).tobytes()
+    for copies in (1, 2, 3):
+        eye = np.eye(copies, dtype=complex)
+        loop = _loop_units(k, lambda i, j: np.kron(unit_matrix(k, i, j), eye))
+        assert amplified_units(k, copies).units.tobytes() == loop.tobytes()
+    # complex phases on the outer units exercise signs, not only 0/1 entries
+    rng = np.random.default_rng(k)
+    outer = amplified_units(2, k)
+    phases = np.exp(2j * np.pi * rng.random((2, 2, 1, 1)))
+    a = system_from_units(outer.units * phases)
+    b = standard_units(k)
+    loop = _loop_units(
+        2 * k, lambda r, c: np.kron(a.units[r // k, c // k], b.units[r % k, c % k])
+    )
+    assert tensor_units(a, b).units.tobytes() == loop.tobytes()
+
+
 class TestVerify:
     def test_doubled_unit_fails_product_axiom(self):
         units = standard_units(3).units.copy()

@@ -30,14 +30,20 @@ from finfactor import sparsity
 from finfactor.errors import (
     FactorTooSmall,
     NotDivisible,
-    RankMismatch,
     SizeMismatch,
+    SupportMismatch,
     UnknownStrategy,
 )
 from finfactor.matrix_core import random_hermitian, random_matrix, random_unitary
+from finfactor.matrix_units import MatrixUnitSystem, amplified_units, placed_units
 from finfactor.sparsity import ProjectionFamily
 
-from helpers import grouping_block_count, reference_grouping_search
+from helpers import (
+    grouping_block_count,
+    reference_block_pattern,
+    reference_grouping_search,
+    reference_support_mask,
+)
 
 
 def m4_shift_tuple():
@@ -375,13 +381,12 @@ class TestAlignFamilies:
         assert pat.positions() == [(j, j) for j in range(k)]
         assert Fraction(pat.count, k * k) == Fraction(1, k)
 
-    def test_rank_mismatch(self):
-        p = np.zeros((2, 4, 4), dtype=complex)
-        p[0][0, 0] = 1.0
-        p[1][1, 1] = p[1][2, 2] = p[1][3, 3] = 1.0
-        uneven = ProjectionFamily(ambient_dim=4, k=2, projections=p)
-        with pytest.raises(RankMismatch):
-            align_families(uneven, uneven)
+    def test_returns_the_family_bases(self):
+        rng = np.random.default_rng(52)
+        E = conjugate_family(diagonal_family(6, 3), random_unitary(6, rng))
+        F = family_from_grouping(6, [[4, 1], [0, 5], [2, 3]])
+        w1, w2 = align_families(E, F)
+        assert w1 is E.basis and w2 is F.basis
 
 
 class TestHyperfinitePair:
@@ -471,14 +476,96 @@ class TestFamilyValidation:
             family_from_grouping(4, [[0, 1], [1, 2]])
 
     def test_non_orthogonal_rejected(self):
-        p = np.zeros((2, 2, 2), dtype=complex)
-        p[0][0, 0] = 1.0
-        p[1][0, 0] = 1.0
-        fam = ProjectionFamily(ambient_dim=2, k=2, projections=p)
-        with pytest.raises(ValueError):
+        # columns e_1 and e_1 + e_2: the two members overlap
+        fam = ProjectionFamily(ambient_dim=2, k=2, basis=np.array([[1, 1], [0, 1]], dtype=complex))
+        with pytest.raises(ValueError, match="not unitary"):
             fam.validate()
+
+    def test_k_must_divide_n(self):
+        with pytest.raises(NotDivisible):
+            ProjectionFamily(ambient_dim=4, k=3, basis=identity(4)).validate()
 
     def test_eta_is_reported(self):
         cfg = ToleranceConfig(zero_block_eta=1e-6)
         rep = interaction_index([identity(4)], diagonal_family(4, 2), cfg)
         assert rep.eta == 1e-6
+
+
+def _conjugated_units(k, copies, rng):
+    u = random_unitary(k * copies, rng)
+    units = u @ amplified_units(k, copies).units @ u.conj().T
+    return MatrixUnitSystem(ambient_dim=k * copies, k=k, units=units)
+
+
+def _families(rng):
+    """(name, family) over every constructor, at n = 4..16."""
+    out = []
+    for n, k in ((4, 2), (6, 3), (8, 4), (12, 4), (16, 8)):
+        groups = rng.permutation(n).reshape(k, -1).tolist()
+        conj = conjugate_family(diagonal_family(n, k), random_unitary(n, rng))
+        out.append(("grouped", family_from_grouping(n, groups)))
+        out.append(("conjugated", conj))
+        out.append(("units", family_from_units(_conjugated_units(k, n // k, rng))))
+        if (n // k) % 2 == 0:
+            out.append(("refined", refine(conj, 2)))
+        if n <= 8:
+            other = conjugate_family(diagonal_family(n, k), random_unitary(n, rng))
+            out.append(("direct_sum", direct_sum_family(conj, other)))
+    return out
+
+
+def test_patterns_and_supports_match_the_projection_formula():
+    rng = np.random.default_rng(2026)
+    for trial in range(4):
+        for name, fam in _families(rng):
+            n, k, p = fam.ambient_dim, fam.k, fam.projections
+            for scale in (1.0, 1e-8):
+                x = np.zeros((n, n), dtype=complex)
+                for _ in range(int(rng.integers(1, k * k))):
+                    i, j = rng.integers(k, size=2)
+                    x += p[i] @ random_matrix(n, rng) @ p[j]
+                x *= scale
+                for y in (x, random_matrix(n, rng) * scale):
+                    bits = block_pattern(y, fam).bits
+                    assert np.array_equal(bits, reference_block_pattern(y, p)), (name, trial)
+                    mask = sparsity.support_mask(y, fam)
+                    assert np.array_equal(mask, reference_support_mask(y, p)), (name, trial)
+
+
+def test_projections_match_the_old_constructions():
+    rng = np.random.default_rng(2027)
+    groups = [[4, 1], [0, 5], [2, 3]]
+    old = np.zeros((3, 6, 6), dtype=complex)
+    for j, g in enumerate(groups):
+        old[j, g, g] = 1.0
+    assert family_from_grouping(6, groups).projections.tobytes() == old.tobytes()
+    exact = [standard_units(5), amplified_units(4, 3)]
+    exact += [placed_units([3, 4], 0, identity), hyperfinite_pair([3, 3, 3])[2][0]]
+    for sys in exact:
+        fam = family_from_units(sys)
+        assert fam.projections.tobytes() == sys.diagonal_projections().tobytes()
+    sys = _conjugated_units(3, 4, rng)
+    assert np.abs(family_from_units(sys).projections - sys.diagonal_projections()).max() < 1e-12
+    d = diagonal_family(8, 4)
+    u = random_unitary(8, rng)
+    conj = conjugate_family(d, u)
+    assert np.abs(conj.projections - u @ d.projections @ u.conj().T).max() < 1e-12
+    fine = refine(conj, 2)
+    pairs = fine.projections.reshape(4, 2, 8, 8).sum(axis=1)
+    assert np.abs(pairs - conj.projections).max() < 1e-12
+    assert refine(d, 2).projections.tobytes() == diagonal_family(8, 8).projections.tobytes()
+    other = conjugate_family(diagonal_family(4, 4), random_unitary(4, rng))
+    summed = direct_sum_family(conj, other)
+    old = np.stack([direct_sum(a, b) for a, b in zip(conj.projections, other.projections)])
+    assert np.abs(summed.projections - old).max() < 1e-12
+    for fam in (conj, fine, summed, family_from_units(sys)):
+        fam.validate()
+
+
+def test_units_that_are_not_a_unit_system_are_rejected():
+    units = amplified_units(3, 2).units.copy()
+    units[1, 0] *= 2.0       # e_21 doubled; the diagonal still sums to I
+    sys = MatrixUnitSystem(ambient_dim=6, k=3, units=units)
+    assert sys.is_full()
+    with pytest.raises(SupportMismatch, match="off unitary"):
+        family_from_units(sys)
