@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DimensionOverflow
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -48,6 +48,22 @@ _COMPLEMENT_MIN_N = 256
 # rows of commutator blocks per QR fold in commutant (at least one block):
 # whole blocks of n^2 rows, enough of them at small n that the QR calls stay few
 _COMMUTANT_SLAB_ROWS = 400
+# generate and commutant hold O(n^4) entries (the span's rows, the commutant's
+# factor, a basis of M_n); they refuse an n whose n^4 complex128 entries would
+# pass this many bytes before allocating anything (n <= 90 fits)
+_SPAN_BYTE_BUDGET = 1 << 30
+# the full-algebra certificate's bars, in units of span_tol: the eigen-gap of
+# the chosen vector, and the residual of every vector the closure admits
+_CERTIFICATE_FLOOR = 1e3
+
+
+def _check_span_budget(n: int):
+    need = 16 * n**4
+    if need > _SPAN_BYTE_BUDGET:
+        raise DimensionOverflow(
+            f"ambient dimension {n} needs {need / 2**30:.1f} GiB for n^4 complex "
+            f"entries, over the {_SPAN_BYTE_BUDGET / 2**30:.0f} GiB span budget"
+        )
 
 
 def _complement(rows: np.ndarray) -> np.ndarray:
@@ -235,7 +251,10 @@ def generate(
 ) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
-    Seeds the span with I, the generators, and their adjoints, then repeatedly
+    First asks the full-algebra certificate (_full_algebra_margins), a
+    closure of vectors; when it proves that the algebra is M_n, the result is
+    full_matrix_basis(n). Otherwise the closure engine (_span_closure) seeds
+    the span with I, the generators, and their adjoints, then repeatedly
     multiplies basis pairs and absorbs new directions until the span is
     stable. A round forms only the products with at least one factor added in
     the previous round (semi-naive closure): older pairs were absorbed then.
@@ -246,6 +265,9 @@ def generate(
     whole closure runs in float64: products of real rows are real, and a real
     orthonormal basis of the real algebra is a complex basis of the complex
     one. The returned elements are complex128 either way.
+
+    Raises DimensionOverflow, before allocating anything, when n^4 complex
+    entries would pass the span byte budget.
     """
     gens = [as_matrix(g) for g in generators]
     if gens:
@@ -258,11 +280,95 @@ def generate(
         if ambient_dim is None:
             raise DimensionMismatch("ambient_dim is required for an empty generator list")
         n = ambient_dim
-    N = n * n
+    _check_span_budget(n)
+    if _full_algebra_margins(gens, cfg.span_tol) is not None:
+        return full_matrix_basis(n)
+    return _span_closure(gens, n, cfg.span_tol)
 
+
+def _full_algebra_margins(gens, tol: float):
+    """(gap, worst_admitted) when the unital *-algebra A of gens is provably
+    M_n, else None (the set may still generate M_n).
+
+    Burnside's theorem run as Norton's irreducibility test (Parker, "The
+    computer calculation of modular characters (the Meat-Axe)", 1984; Holt
+    and Rees, J. Austral. Math. Soc. A 57, 1994). If A holds vv* for a unit
+    vector v and A.v = C^n, then uw* = a vv* b* lies in A for all u = av and
+    w = bv, so A = M_n.
+
+    The letters are the nonzero generators scaled to unit Frobenius norm,
+    and their adjoints. v is an eigenvector, from one batched eigh, of the
+    most isolated eigenvalue of the Hermitian parts (g + g*)/2 and the
+    anti-Hermitian parts (g - g*)/2i of the letters: the spectral projection
+    of a simple eigenvalue is a polynomial in that part, so vv* lies in A.
+    Its gap is measured against the letter's unit norm, not against the
+    part's own spectral radius, so a part that is rounding noise (the
+    anti-Hermitian part of a matrix Hermitian up to rounding) cannot supply
+    v. A.v is then spanned by words in the letters applied to v: each round
+    applies every letter to the vectors the last round admitted, projects
+    them off the span twice (CGS2), and admits a candidate c, orthogonalized
+    against the round's earlier admissions, iff its residual exceeds
+    _CERTIFICATE_FLOOR * tol * max(||c||, 1). That floor keeps products that
+    vanish up to rounding out, which a bar relative to ||c|| alone would let
+    in. gap and worst_admitted (the smallest admitted residual) both exceed
+    _CERTIFICATE_FLOOR * tol.
+    """
+    if not gens or gens[0].shape[0] < 2:
+        return None
+    n = gens[0].shape[0]
+    stack = np.stack(gens)
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    if not norms.all():
+        stack, norms = stack[norms > 0], norms[norms > 0]
+        if not len(stack):
+            return None
+    stack /= norms[:, None, None]
+    adjoints = stack.conj().transpose(0, 2, 1)
+    # R @ letters_t[l] applies letter l to every row of R
+    letters_t = np.concatenate([stack, adjoints]).transpose(0, 2, 1)
+    w, vecs = np.linalg.eigh(np.concatenate([stack + adjoints, -1j * (stack - adjoints)]) / 2)
+    steps = np.diff(w, axis=1)
+    gaps = np.empty_like(w)
+    gaps[:, 0], gaps[:, -1] = steps[:, 0], steps[:, -1]
+    np.minimum(steps[:, :-1], steps[:, 1:], out=gaps[:, 1:-1])
+    part, i = divmod(int(np.argmax(gaps)), n)
+    gap, bar = float(gaps[part, i]), _CERTIFICATE_FLOOR * tol
+    if not gap > bar:
+        return None
+    # a letter has operator norm at most its Frobenius norm 1, so every
+    # candidate has ||c|| <= 1 and its floor max(||c||, 1) * bar is bar
+    Q = np.zeros((n, n), dtype=np.complex128)  # rows: orthonormal basis of A.v so far
+    Q[0] = vecs[part, :, i]
+    dim, done, worst = 1, 0, math.inf
+    while done < dim < n:
+        C = (Q[done:dim] @ letters_t).reshape(-1, n)
+        span, span_h = Q[:dim], Q[:dim].conj().T
+        for _ in range(2):
+            C -= (C @ span_h) @ span
+        res = np.linalg.norm(C, axis=1)
+        survivors = res > bar
+        done = dim
+        for c, r in zip(C[survivors], res[survivors]):
+            if dim > done:  # orthogonalize against this round's admissions
+                new = Q[done:dim]
+                for _ in range(2):
+                    c = c - (new.conj() @ c) @ new
+                r = math.sqrt(np.vdot(c, c).real)
+            if r > bar:
+                Q[dim] = c / r
+                dim += 1
+                worst = min(worst, float(r))
+                if dim == n:
+                    break
+    return (gap, worst) if dim == n else None
+
+
+def _span_closure(gens, n: int, tol: float) -> AlgebraBasis:
+    """The closure engine of generate, on checked generators of dim n."""
+    N = n * n
     seed = [identity(n)] + gens + [g.conj().T for g in gens]
     seed = _working_field(np.stack([m.reshape(N) for m in seed]))
-    builder = _SpanBuilder(n, cfg.span_tol, seed.dtype)
+    builder = _SpanBuilder(n, tol, seed.dtype)
     builder.absorb(seed)
     _close(builder)
     return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
@@ -288,8 +394,9 @@ def _close(builder: _SpanBuilder):
 
 def full_matrix_basis(n: int) -> AlgebraBasis:
     """Tau-orthonormal basis of all of M_n (scaled elementary matrices)."""
-    elements = math.sqrt(n) * np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
-    return AlgebraBasis(ambient_dim=n, elements=elements)
+    elements = np.eye(n * n, dtype=np.complex128)
+    elements *= math.sqrt(n)  # in place: a second n^4 array would double the peak
+    return AlgebraBasis(ambient_dim=n, elements=elements.reshape(n * n, n, n))
 
 
 def _generator_list(a):
@@ -347,8 +454,12 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     direction null; the factor 2 absorbs rounding. The commutant of an
     irreducible set is the scalars, so this is the second step of every
     double commutant G'' that reaches M_n.
+
+    Raises DimensionOverflow, before building any slab, when n^4 complex
+    entries would pass the span byte budget.
     """
     n, gens = _generator_list(a)
+    _check_span_budget(n)
     N = n * n
     seen = _working_field(np.stack(gens + [g.conj().T for g in gens]))
     if _scalar_set(seen, cfg.span_tol / 2):

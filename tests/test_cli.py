@@ -98,6 +98,13 @@ class TestDemo:
         assert main(["demo", "shift", "--k", "5"]) == 2
         assert "ambient dimension 5 exceeds cap 4" in capsys.readouterr().err
 
+    def test_hyperfinite_past_the_span_budget_exits_two(self, capsys):
+        # n = 216 passes the dimension cap of 256, but a basis of M_216 would
+        # hold 216^4 complex entries (about 32 GiB): generate refuses first
+        assert main(["demo", "hyperfinite", "--dims", "6,6,6"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ambient dimension 216" in err
+
 
 class TestSparsity:
     def test_identity_index(self, capsys, tmp_path):

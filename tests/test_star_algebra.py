@@ -21,8 +21,8 @@ from finfactor import (
     unit_matrix,
 )
 from finfactor import star_algebra
-from finfactor.errors import DimensionMismatch
-from finfactor.matrix_core import random_hermitian, random_matrix, random_unitary
+from finfactor.errors import DimensionMismatch, DimensionOverflow
+from finfactor.matrix_core import as_matrix, random_hermitian, random_matrix, random_unitary
 from finfactor.star_algebra import _SpanBuilder
 
 from helpers import (
@@ -34,6 +34,13 @@ from helpers import (
     traced_peak,
     two_block_element,
 )
+
+
+def _engine(gens):
+    """generate's closure engine, run even where the full-algebra
+    certificate would answer first."""
+    gens = [as_matrix(g) for g in gens]
+    return star_algebra._span_closure(gens, gens[0].shape[0], DEFAULT_TOL.span_tol)
 
 
 def sym_shift(n):
@@ -77,7 +84,7 @@ class TestGenerate:
         # entry span only to eps times the cancellation factor
         sys = amplified_units(8, 2)
         res = cut_and_paste([two_block_element()], sys)
-        basis = generate([fuse(*single_generator_pair(res.q, sys))])
+        basis = _engine([fuse(*single_generator_pair(res.q, sys))])
         flat = basis.elements.reshape(basis.dim, -1)
         gram = np.conj(flat) @ flat.T / 16
         assert basis.dim == 256
@@ -372,9 +379,10 @@ def _full_m16_generators():
 @pytest.mark.parametrize("name", ["shift_pair", "fused", "tower_4_4"])
 def test_full_m16_generators_reach_m16(name):
     gens = _full_m16_generators()[name]
-    basis = generate(gens)
-    assert basis.dim == 256
-    assert equal(basis, commutant(commutant(gens)))
+    double = commutant(commutant(gens))
+    for basis in (generate(gens), _engine(gens)):
+        assert basis.dim == 256
+        assert equal(basis, double)
 
 
 def _adversarial_generators(count):
@@ -392,10 +400,11 @@ def _adversarial_generators(count):
 
 
 def test_generate_matches_reference_engine_on_adversarial_generators():
+    # the engine itself, also on the sets the certificate answers in generate
     differ = [
         (trial, n)
         for trial, (n, x) in enumerate(_adversarial_generators(2000))
-        if generate([x]).dim != reference_closure_dim([x], n)
+        if _engine([x]).dim != reference_closure_dim([x], n)
     ]
     assert differ == []
 
@@ -481,7 +490,7 @@ def test_real_generators_match_complex_references():
     for trial, (n, x) in enumerate(_real_adversarial_generators(2000)):
         # complex128 with zero imaginary parts, as the towers arrive
         gens = [x.astype(np.complex128)]
-        basis, c = generate(gens), commutant(gens)
+        basis, c = _engine(gens), commutant(gens)
         cc = commutant(c)
         ref = reference_commutant(gens)
         ref2 = reference_commutant(ref)
@@ -520,7 +529,9 @@ def _tower_and_phased_copy():
     return [x1, x2], [d @ x1 @ d.conj().T, d @ x2 @ d.conj().T]
 
 
-@pytest.mark.parametrize("kernel, bound", [(generate, 0.9), (commutant, 0.7)])
+@pytest.mark.parametrize(
+    "kernel, bound", [pytest.param(_engine, 0.9, id="generate-0.9"), (commutant, 0.7)]
+)
 def test_real_inputs_run_in_real_arithmetic(kernel, bound):
     real, phased = _tower_and_phased_copy()
     assert not any(x.imag.any() for x in real) and any(x.imag.any() for x in phased)
@@ -662,7 +673,7 @@ def test_conjugate_mirror_follows_every_write(case, monkeypatch):
 @pytest.mark.parametrize("name", ["shift_pair", "fused"])
 def test_conjugate_mirror_gives_the_bases_of_fresh_conjugation(name, monkeypatch):
     gens = _full_m16_generators()[name]
-    kept = generate(gens).elements
+    kept = _engine(gens).elements
     # every read of a conjugate forms it afresh; writes to the mirror are dropped
     fresh_rows = property(lambda self: self._rows.conj(), lambda self, v: None)
     fresh_W = property(
@@ -670,7 +681,7 @@ def test_conjugate_mirror_gives_the_bases_of_fresh_conjugation(name, monkeypatch
     )
     monkeypatch.setattr(_SpanBuilder, "_rows_conj", fresh_rows, raising=False)
     monkeypatch.setattr(_SpanBuilder, "_W_conj", fresh_W, raising=False)
-    fresh = generate(gens).elements
+    fresh = _engine(gens).elements
     assert kept.shape == (256, 16, 16)
     assert kept.tobytes() == fresh.tobytes()
 
@@ -710,6 +721,174 @@ def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
         tracemalloc.reset_peak()
 
     monkeypatch.setattr(star_algebra, "_close", end_of_closure)
-    basis = generate(gens)
-    peak = traced_peak(lambda: generate(gens))
+    basis = _engine(gens)
+    peak = traced_peak(lambda: _engine(gens))
     assert peak <= rows[-1] + basis.elements.nbytes + 160 * 1024
+
+
+# --- the full-algebra certificate: a closure of vectors that proves A = M_n ----
+
+
+def _margins(gens):
+    return star_algebra._full_algebra_margins([as_matrix(g) for g in gens], DEFAULT_TOL.span_tol)
+
+
+def _unit_norm(gens):
+    return [g / np.linalg.norm(g) for g in gens if np.linalg.norm(g) > 0]
+
+
+def _certificate_corpus():
+    for trial, (n, x) in enumerate(_adversarial_generators(2000)):
+        yield ("complex", trial), n, [x]
+    for trial, (n, x) in enumerate(_real_adversarial_generators(2000)):
+        yield ("real", trial), n, [x]
+    for trial, (n, gens) in enumerate(_mixed_pairs(300)):
+        yield ("mixed", trial), n, gens
+
+
+def test_certificate_makes_no_false_positive():
+    # a certified set is M_n by G'' of its unit-norm inputs, by the engine
+    # and by generate; the sets the engine over-counts are all declined
+    certified, wrong = 0, []
+    for key, n, gens in _certificate_corpus():
+        if _margins(gens) is None:
+            continue
+        certified += 1
+        g2 = commutant(commutant(_unit_norm(gens))).dim
+        dims = (g2, _engine(gens).dim, generate(gens).dim)
+        if dims != (n * n,) * 3:
+            wrong.append((key, n, dims))
+    assert wrong == []
+    assert certified >= 2900  # 2932 of the 4300 sets when this test was written
+
+
+def test_certificate_decision_is_invariant_under_scaling():
+    changed = [
+        key
+        for key, n, gens in _certificate_corpus()
+        if len({_margins([s * g for g in gens]) is None for s in (1.0, 1e-9, 1e9)}) > 1
+    ]
+    assert changed == []
+
+
+def _haar_sum(sizes, rng):
+    u = random_unitary(sum(sizes), rng)
+    return [u @ _direct_sum([_cgauss(rng, (s, s)) for s in sizes]) @ u.conj().T for _ in range(2)]
+
+
+def _hermitian_pair_with_gap(gap, rng):
+    """Two exactly Hermitian u diag(0, d, 1, 1 + d, 3, 3 + d) u* with Haar u
+    at n = 6. Every eigenvalue has a neighbour d away, and d is chosen so
+    that the largest eigen-gap of the unit-norm matrix, d / sqrt(20 + 8d +
+    3d^2), is gap. The rank-2 spectral clusters of the two, in general
+    position, generate M_6."""
+    d = 0.0
+    for _ in range(3):
+        d = gap * np.sqrt(20 + 8 * d + 3 * d * d)
+    out = []
+    for _ in range(2):
+        u = random_unitary(6, rng)
+        h = u @ np.diag([0, d, 1, 1 + d, 3, 3 + d]) @ u.conj().T
+        out.append((h + h.conj().T) / 2)
+    return out
+
+
+def _declined_sets():
+    rng = np.random.default_rng(18)
+    t1, t2, _ = hyperfinite_pair([3, 3])
+    u = random_unitary(4, rng)
+    sets = {
+        "haar_sum_3_2": _haar_sum((3, 2), rng),
+        "haar_sum_4_4": _haar_sum((4, 4), rng),
+        "haar_sum_5_1": _haar_sum((5, 1), rng),
+        "m3_tensor_i2": [np.kron(_cgauss(rng, (3, 3)), np.eye(2)) for _ in range(2)],
+        "tower_3_3_plus_c": [_direct_sum([t1, np.eye(1)]), _direct_sum([t2, 2 * np.eye(1)])],
+        "zero": [np.zeros((3, 3))],
+        "empty": [],
+        # Hermitian only up to rounding: its anti-Hermitian part is noise whose
+        # eigenvalues are far apart relative to their own size
+        "rotated_diagonal": [u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T],
+    }
+    for trial, (n, x) in enumerate(_rank_one_generators(15)):
+        if n >= 3:  # at n = 2 a rank-1 u v* with u, v independent generates M_2
+            sets[f"rank_one_{trial}"] = [x]
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_declined_sets()))
+def test_certificate_declines_proper_subalgebras(name):
+    gens = _declined_sets()[name]
+    assert _margins(gens) is None
+    if gens:
+        n = gens[0].shape[0]
+        assert generate(gens).dim == _engine(gens).dim < n * n
+
+
+def test_certificate_cut_sits_at_its_bar():
+    # the pair generates M_6 on both sides of the cut; the side whose best
+    # eigen-gap sits just below the bar is declined, the other certified
+    bar = star_algebra._CERTIFICATE_FLOOR * DEFAULT_TOL.span_tol
+    below = _hermitian_pair_with_gap(0.99 * bar, np.random.default_rng(19))
+    above = _hermitian_pair_with_gap(1.01 * bar, np.random.default_rng(19))
+    assert _margins(below) is None
+    gap, worst = _margins(above)
+    assert bar < gap < 1.02 * bar and worst > bar
+    assert generate(below).dim == _engine(below).dim == _engine(above).dim == 36
+
+
+def _paper_generators():
+    out = {}
+    for k in (5, 12, 20):
+        x1, x2 = shift_pair(standard_units(k))
+        out[f"shift_pair_k{k}"] = [x1, x2]
+        out[f"fused_k{k}"] = [fuse(x1, x2)]
+    for dims in ([3, 3], [4, 3], [4, 4], [3, 3, 3], [4, 4, 4]):
+        t1, t2, _ = hyperfinite_pair(dims)
+        out["tower_" + "_".join(map(str, dims))] = [t1, t2]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_paper_generators()))
+def test_certificate_margins_on_the_paper_generators(name):
+    gap, worst = _margins(_paper_generators()[name])
+    bar = star_algebra._CERTIFICATE_FLOOR * DEFAULT_TOL.span_tol
+    assert min(gap, worst) >= 100 * bar
+
+
+def test_generate_answers_certified_sets_without_the_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified set reached the closure engine")
+
+    monkeypatch.setattr(star_algebra, "_span_closure", refuse)
+    x1, x2 = shift_pair(standard_units(12))
+    basis = generate([x1, x2])
+    assert basis.elements.tobytes() == full_matrix_basis(12).elements.tobytes()
+
+
+# --- the span byte budget: refused by the estimate, before any allocation ------
+
+
+def test_span_budget_admits_n_90_and_refuses_n_91():
+    star_algebra._check_span_budget(90)
+    with pytest.raises(DimensionOverflow):
+        star_algebra._check_span_budget(91)
+
+
+def _refused_peak(fn):
+    def run():
+        with pytest.raises(DimensionOverflow):
+            fn()
+
+    return traced_peak(run)
+
+
+@pytest.mark.parametrize("kernel", ["generate", "commutant", "generate_empty"])
+def test_span_budget_refuses_before_allocating(kernel):
+    gens = [np.eye(216, dtype=complex), np.ones((216, 216), dtype=complex)]
+    fn = {
+        "generate": lambda: generate(gens),
+        "commutant": lambda: commutant(gens),
+        "generate_empty": lambda: generate([], ambient_dim=216),
+    }[kernel]
+    # the inputs are 729 KiB each; a basis of M_216 would be about 32 GiB
+    assert _refused_peak(fn) <= 2 * gens[0].nbytes
