@@ -179,9 +179,12 @@ def _demo_shift(args, cfg) -> tuple[dict, dict]:
 
 
 def _demo_hyperfinite(args, cfg) -> tuple[dict, dict]:
-    dims = _int_list(args.dims, "--dims")
-    x1, x2, tower = sparsity.hyperfinite_pair(dims)
+    dims = sparsity.check_tower_dims(_int_list(args.dims, "--dims"))
     n = int(np.prod(dims))
+    # generate would refuse an n past the span budget: refuse it before the
+    # tower's n x n levels are built
+    star_algebra._check_span_budget(n)
+    x1, x2, tower = sparsity.hyperfinite_pair(dims)
     algebra = star_algebra.generate([x1, x2], cfg)
     fam = sparsity.family_from_units(tower[0], cfg)
     rep = sparsity.interaction_index(

@@ -85,7 +85,7 @@ def as_matrix(x) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatch("matrices must have dimension >= 1")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

@@ -61,6 +61,7 @@ __all__ = [
     "minimize_index",
     "direct_sum_family",
     "align_families",
+    "check_tower_dims",
     "hyperfinite_pair",
 ]
 
@@ -532,6 +533,19 @@ def align_families(
 # --- explicit low-index generator pair -------------------------------------------
 
 
+def check_tower_dims(dims) -> list[int]:
+    """The factor dimensions of a tensor tower as ints, checked as
+    hyperfinite_pair needs them: at least one factor, every factor >= 3, and
+    their product within the dimension cap."""
+    dims = [int(d) for d in dims]
+    if not dims:
+        raise FactorTooSmall("at least one factor dimension is required")
+    if any(d < 3 for d in dims):
+        raise FactorTooSmall(f"all factor dimensions must be >= 3, got {dims}")
+    check_dimension_cap(int(np.prod(dims)))
+    return dims
+
+
 def hyperfinite_pair(
     dims,
     weights: tuple[float, float] = (0.5, 1.0 / 3.0),
@@ -546,12 +560,7 @@ def hyperfinite_pair(
     shifts (weights[1]**level). Returns (x1, x2, tower) where tower holds the
     canonical per-factor unit systems in the full ambient dimension.
     """
-    dims = [int(d) for d in dims]
-    if not dims:
-        raise FactorTooSmall("at least one factor dimension is required")
-    if any(d < 3 for d in dims):
-        raise FactorTooSmall(f"all factor dimensions must be >= 3, got {dims}")
-    check_dimension_cap(int(np.prod(dims)))
+    dims = check_tower_dims(dims)
     w1, w2 = weights
     if not (0.0 < abs(w1) and 0.0 < abs(w2)):
         raise ValueError("weights must be nonzero")

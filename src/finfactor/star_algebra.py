@@ -8,6 +8,7 @@ exercises as a cross-check of the two independent routes computed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,13 +254,15 @@ def generate(
 
     First asks the full-algebra certificate (_full_algebra_margins), a
     closure of vectors; when it proves that the algebra is M_n, the result is
-    full_matrix_basis(n). Otherwise the closure engine (_span_closure) seeds
-    the span with I, the generators, and their adjoints, then repeatedly
-    multiplies basis pairs and absorbs new directions until the span is
-    stable. A round forms only the products with at least one factor added in
-    the previous round (semi-naive closure): older pairs were absorbed then.
-    An empty generator list yields the scalars (ambient_dim must then be
-    given). Stops early once the span is all of M_n.
+    full_matrix_basis(n), which holds no n^4 array until its elements are
+    read (its dim, equal and contains need none). Otherwise the closure
+    engine (_span_closure) seeds the span with I, the generators, and their
+    adjoints, then repeatedly multiplies basis pairs and absorbs new
+    directions until the span is stable. A round forms only the products
+    with at least one factor added in the previous round (semi-naive
+    closure): older pairs were absorbed then. An empty generator list yields
+    the scalars (ambient_dim must then be given). Stops early once the span
+    is all of M_n.
 
     When every generator is real (all imaginary parts exactly zero), the
     whole closure runs in float64: products of real rows are real, and a real
@@ -392,11 +395,34 @@ def _close(builder: _SpanBuilder):
         done = start_dim
 
 
+class _FullMatrixBasis(AlgebraBasis):
+    """All of M_n: dim is n^2 at once, the n^4 elements are built on first
+    read and then kept."""
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "ambient_dim", n)
+
+    @property
+    def dim(self) -> int:
+        return self.ambient_dim**2
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        n = self.ambient_dim
+        elements = np.eye(n * n, dtype=np.complex128)
+        elements *= math.sqrt(n)  # in place: a second n^4 array would double the peak
+        return elements.reshape(n * n, n, n)
+
+
 def full_matrix_basis(n: int) -> AlgebraBasis:
-    """Tau-orthonormal basis of all of M_n (scaled elementary matrices)."""
-    elements = np.eye(n * n, dtype=np.complex128)
-    elements *= math.sqrt(n)  # in place: a second n^4 array would double the peak
-    return AlgebraBasis(ambient_dim=n, elements=elements.reshape(n * n, n, n))
+    """Tau-orthonormal basis of all of M_n (scaled elementary matrices:
+    sqrt(n) I_{n^2} reshaped to (n^2, n, n)).
+
+    The result's dim is n^2 without building anything; its elements, n^4
+    complex entries, are built on first read and kept from then on. equal
+    and contains answer on any basis of dim n^2 without reading them.
+    """
+    return _FullMatrixBasis(n)
 
 
 def _generator_list(a):
@@ -487,12 +513,17 @@ def contains(
     x: np.ndarray,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[bool, float]:
-    """Projects x onto span(a); returns (membership, Frobenius residual)."""
+    """Projects x onto span(a); returns (membership, Frobenius residual).
+
+    An algebra of dim n^2 is all of M_n (its basis is tau-orthonormal), so
+    there it returns (True, 0.0), the exact residual, without projecting.
+    """
     x = as_matrix(x)
-    if x.shape[0] != a.ambient_dim:
-        raise DimensionMismatch(
-            f"element dim {x.shape[0]} vs algebra ambient dim {a.ambient_dim}"
-        )
+    n = a.ambient_dim
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"element dim {x.shape[0]} vs algebra ambient dim {n}")
+    if a.dim == n * n:
+        return True, 0.0
     U = a.unit_rows()
     v = x.reshape(-1)
     r = v - (np.conj(U) @ v) @ U
@@ -503,7 +534,11 @@ def contains(
 
 
 def equal(a: AlgebraBasis, b: AlgebraBasis, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff dims match and each basis lies in the other's span."""
+    """True iff dims match and each basis lies in the other's span.
+
+    Two bases of dim n^2 are equal without a projection: both are
+    tau-orthonormal, so both span M_n.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
@@ -511,6 +546,8 @@ def equal(a: AlgebraBasis, b: AlgebraBasis, cfg: ToleranceConfig = DEFAULT_TOL) 
     if a.dim != b.dim:
         return False
     n = a.ambient_dim
+    if a.dim == n * n:
+        return True
     bound = cfg.span_tol * max(1.0, math.sqrt(n))
     for x, y in ((a, b), (b, a)):
         U = x.unit_rows()

@@ -9,6 +9,8 @@ from referencing import Registry, Resource
 from finfactor import acceptance, compression, load_matrix, save_matrix, shift_pair, standard_units
 from finfactor.cli import main
 
+from helpers import traced_peak
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
@@ -104,6 +106,27 @@ class TestDemo:
         assert main(["demo", "hyperfinite", "--dims", "6,6,6"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "ambient dimension 216" in err
+
+    def test_hyperfinite_past_the_span_budget_builds_no_tower(self, capsys):
+        # the three 216 x 216 unit levels alone would take several MiB
+        peak = traced_peak(lambda: main(["demo", "hyperfinite", "--dims", "6,6,6"]))
+        assert peak < 1 << 20
+        assert "ambient dimension 216" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims,message",
+        [
+            ("2,100", "all factor dimensions must be >= 3, got [2, 100]"),
+            ("3,100", "ambient dimension 300 exceeds cap 256"),
+        ],
+    )
+    def test_hyperfinite_argument_checks_come_before_the_span_budget(
+        self, capsys, dims, message
+    ):
+        # both products are past the span budget's n = 90 as well
+        assert main(["demo", "hyperfinite", "--dims", dims]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestSparsity:

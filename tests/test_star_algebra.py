@@ -892,3 +892,66 @@ def test_span_budget_refuses_before_allocating(kernel):
     }[kernel]
     # the inputs are 729 KiB each; a basis of M_216 would be about 32 GiB
     assert _refused_peak(fn) <= 2 * gens[0].nbytes
+
+
+# --- M_n held lazily: dim at once, the n^4 elements on first read -----------------
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_full_matrix_basis_builds_the_scaled_identity_once(n):
+    basis = full_matrix_basis(n)
+    assert basis.dim == n * n
+    expected = (np.sqrt(n) * np.eye(n * n, dtype=complex)).reshape(n * n, n, n)
+    assert basis.elements.tobytes() == expected.tobytes()
+    assert basis.elements.shape == expected.shape
+    assert basis.elements is basis.elements
+
+
+def test_full_matrix_basis_elements_stay_an_attribute():
+    assert hasattr(full_matrix_basis(3), "elements")
+
+
+def test_certified_generate_holds_no_n4_array():
+    x1, x2, _ = hyperfinite_pair([4, 4, 4])
+    # an eager basis of M_64 is 64^4 complex entries, 256 MiB
+    peak = traced_peak(lambda: generate([x1, x2]))
+    assert peak < 16 << 20
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a basis of M_n was built")
+
+    monkeypatch.setattr(star_algebra._FullMatrixBasis, "elements", property(refuse))
+
+
+def test_equal_and_contains_on_m_n_build_no_basis(monkeypatch):
+    x1, x2 = shift_pair(standard_units(12))
+    a, b = generate([x1, x2]), generate([fuse(x1, x2)])
+    _refuse_to_build(monkeypatch)
+    assert a.dim == b.dim == 144
+    assert equal(a, b) and equal(b, a)
+    assert contains(a, x1 @ x2) == (True, 0.0)
+
+
+def test_m_n_equals_an_engine_basis_of_dim_n2_only():
+    full = full_matrix_basis(4)
+    engine_full = _engine(list(shift_pair(standard_units(4))))
+    proper = _engine([unit_matrix(4, 0, 0), unit_matrix(4, 1, 1)])
+    assert engine_full.dim == 16 and proper.dim < 16
+    assert equal(full, engine_full) and equal(engine_full, full)
+    assert not equal(full, proper) and not equal(proper, full)
+
+
+def test_contains_on_m_n_is_exact_and_checks_its_input():
+    full = full_matrix_basis(3)
+    x = random_matrix(3, np.random.default_rng(41))
+    assert contains(full, x) == (True, 0.0)
+    with pytest.raises(DimensionMismatch):
+        contains(full, identity(4))
+    with pytest.raises(DimensionMismatch):
+        contains(full, np.ones((3, 2)))
+    bad = x.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        contains(full, bad)
