@@ -30,7 +30,6 @@ from .errors import (
     IndexTooLarge,
     NotSelfAdjoint,
     NumericalFailure,
-    SupportMismatch,
     SupportTooLarge,
 )
 from .matrix_core import (
@@ -92,11 +91,6 @@ class CutPasteResult:
         return math.isqrt(self.block_count) + 1
 
 
-def _require_full(sys: MatrixUnitSystem, cfg: ToleranceConfig):
-    if not sys.is_full(cfg):
-        raise SupportMismatch("compression requires a full unit system (sum e_jj = I)")
-
-
 def _rectangle_projections(sys: MatrixUnitSystem, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Row projection q1 = sum of e_jj for j < width and column projection
     q2 = sum of e_jj for width <= j < 2*width of the target rectangle."""
@@ -119,7 +113,6 @@ def cut_and_paste(
     as the inputs + units.
     """
     tup = xs if isinstance(xs, GeneratorTuple) else GeneratorTuple.of(xs)
-    _require_full(sys, cfg)
     fam = family_from_units(sys, cfg)
     k, n = sys.k, sys.ambient_dim
     units = sys.units
@@ -242,7 +235,6 @@ def single_generator_pair(
     within structural_tol.
     """
     q = as_matrix(q)
-    _require_full(sys, cfg)
     fam = family_from_units(sys, cfg)
     k = sys.k
     mask = support_mask(q, fam, cfg)

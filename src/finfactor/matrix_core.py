@@ -250,7 +250,10 @@ def matrix_from_doc(doc) -> np.ndarray:
         re, im = pair
         if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pair):
             raise FileFormatError(f"entry {idx} has non-numeric components")
-        out[idx] = complex(re, im)
+        try:
+            out[idx] = complex(re, im)
+        except OverflowError:
+            raise FileFormatError(f"entry {idx} is outside the float range") from None
     mat = out.reshape(n, n)
     if not np.all(np.isfinite(mat)):
         raise FileFormatError("matrix entries must be finite")

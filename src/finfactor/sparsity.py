@@ -39,7 +39,6 @@ from .matrix_core import (
     check_dimension_cap,
     frobenius_norm,
     identity,
-    random_hermitian,
     same_dim,
 )
 from .matrix_units import MatrixUnitSystem, corner_chain, placed_units, shift_pair
@@ -229,7 +228,7 @@ def family_from_units(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL)
     The runs of a unit system form a unitary; SupportMismatch is raised when
     they are off one by more than structural_tol."""
     if not sys.is_full(cfg):
-        raise SupportMismatch("projection families require a full unit system")
+        raise SupportMismatch("projection families require a full unit system (sum e_jj = I)")
     n, k = sys.ambient_dim, sys.k
     if n % k:
         raise SupportMismatch(f"a full system of size {k} cannot live in M_{n}")
@@ -423,38 +422,6 @@ def _grouping_search(tup, k, seed, restarts, cfg):
     return family_from_grouping(n, groups), _grouping_id(groups)
 
 
-def _pattern_count(tup, fam, cfg) -> int:
-    return sum(block_pattern(x, fam, cfg).count for x in tup.elements)
-
-
-def _unitary_search(tup, start_fam, start_id, seed, iters, cfg):
-    n = start_fam.ambient_dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EA7]).entropy)
-    fam = start_fam
-    count = _pattern_count(tup, fam, cfg)
-    step = 0.1
-    accepted = 0
-    stall = 0
-    for _ in range(iters):
-        h = random_hermitian(n, rng)
-        h /= max(1.0, frobenius_norm(h))
-        vals, vecs = np.linalg.eigh(step * h)
-        u = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-        cand = conjugate_family(fam, u)
-        cand_count = _pattern_count(tup, cand, cfg)
-        if cand_count < count:
-            fam, count = cand, cand_count
-            accepted += 1
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 25:
-                step /= 2.0
-                stall = 0
-    fam_id = f"unitary_search:seed={seed},from={start_id},accepted={accepted}"
-    return fam, fam_id
-
-
 def minimize_index(
     xs,
     k: int,
@@ -470,6 +437,13 @@ def minimize_index(
     The search is seeded with the standard diagonal family, so the result is
     never worse than it; only certified upper bounds are produced, never the
     infimum itself. Deterministic for a fixed seed.
+
+    The unitary strategies return their start family (unitary_local_search
+    the standard diagonal one, combined the grouping-search one) under a
+    "unitary_search:...,accepted=0" id: a block counts as zero only below
+    zero_block_eta * ||x||_F, which no small random unitary step reaches,
+    while such a step fills the blocks a grouping leaves zero. iters has no
+    effect; it is kept for callers that pass it, such as perfbench/.
     """
     tup = _as_tuple(xs)
     n = tup.ambient_dim
@@ -482,14 +456,12 @@ def minimize_index(
     if restarts < 0:
         raise ValueError(f"restarts must be a non-negative integer, got {restarts}")
 
-    if strategy == "diagonal_grouping":
-        fam, fam_id = _grouping_search(tup, k, seed, restarts, cfg)
-    elif strategy == "unitary_local_search":
-        start = diagonal_family(n, k)
-        fam, fam_id = _unitary_search(tup, start, "standard_diagonal", seed, iters, cfg)
+    if strategy == "unitary_local_search":
+        fam, fam_id = diagonal_family(n, k), "standard_diagonal"
     else:
         fam, fam_id = _grouping_search(tup, k, seed, restarts, cfg)
-        fam, fam_id = _unitary_search(tup, fam, fam_id, seed, iters, cfg)
+    if strategy != "diagonal_grouping":
+        fam_id = f"unitary_search:seed={seed},from={fam_id},accepted=0"
 
     report = interaction_index(tup, fam, cfg, family_id=fam_id)
     return fam, report

@@ -6,7 +6,16 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from finfactor import acceptance, compression, load_matrix, save_matrix, shift_pair, standard_units
+from finfactor import (
+    acceptance,
+    amplified_units,
+    compression,
+    load_matrix,
+    matrix_to_doc,
+    save_matrix,
+    shift_pair,
+    standard_units,
+)
 from finfactor.cli import main
 
 from helpers import traced_peak
@@ -211,6 +220,19 @@ class TestPipeline:
         assert code == 0
         assert doc["k"] == 6
 
+    def test_units_that_are_not_full_exit_two(self, capsys, tmp_path, block_file):
+        # e_11 and e_22 of M_2 placed in M_8 sum to a projection of rank 2, not I
+        units = amplified_units(2, 1).units
+        bundle = {"k": 2, "ambient_dim": 8, "units": {
+            f"e_{i + 1}_{j + 1}": matrix_to_doc(np.pad(units[i, j], (0, 6)))
+            for i in range(2) for j in range(2)
+        }}
+        path = tmp_path / "partial-units.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["pipeline", block_file, "--units", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "require a full unit system (sum e_jj = I)" in err and err.count("\n") == 1
+
     def test_units_k_divisor_check(self, capsys, block_file):
         assert main(["pipeline", block_file, "--units-k", "3"]) == 2
 
@@ -312,6 +334,13 @@ class TestInputFiles:
         assert main(["sparsity", str(path), "--k", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_integer_outside_float_range_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[10**400, 0]]}))
+        assert main(["sparsity", str(path), "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: entry 0 is outside the float range\n"
 
     def test_boolean_unit_count_exits_one(self, capsys, tmp_path, block_file):
         main(["demo", "nested-units", "--sizes", "2,4", "--out", str(tmp_path)])

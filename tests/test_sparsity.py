@@ -258,6 +258,40 @@ class TestMinimizeIndex:
         with pytest.raises(ValueError, match="restarts must be a non-negative integer"):
             minimize_index([identity(4)], 2, strategy=strategy, restarts=-1)
 
+    @pytest.mark.parametrize("strategy", ["unitary_local_search", "combined"])
+    def test_unitary_strategies_count_blocks_only_for_the_report(self, monkeypatch, strategy):
+        calls = []
+
+        def counted(x, fam, cfg=sparsity.DEFAULT_TOL):
+            calls.append(fam.k)
+            return block_pattern(x, fam, cfg)
+
+        monkeypatch.setattr(sparsity, "block_pattern", counted)
+        xs = _planted_tuple(16, np.random.default_rng(3))
+        minimize_index(xs, 4, strategy=strategy, seed=5, restarts=2, iters=200)
+        assert calls == [4] * len(xs)
+
+    def test_unitary_local_search_returns_the_standard_diagonal_family(self):
+        xs = _planted_tuple(16, np.random.default_rng(4))
+        for k in (2, 4, 8):
+            fam, rep = minimize_index(xs, k, strategy="unitary_local_search", seed=9)
+            assert fam.basis.tobytes() == diagonal_family(16, k).basis.tobytes()
+            assert rep.family_id == "unitary_search:seed=9,from=standard_diagonal,accepted=0"
+
+    def test_combined_returns_the_grouping_family(self):
+        xs = _planted_tuple(32, np.random.default_rng(5))
+        for seed, restarts in ((0, 0), (7, 2), (11, 3)):
+            runs = [
+                minimize_index(xs, 8, strategy=strategy, seed=seed, restarts=restarts)
+                for strategy in ("diagonal_grouping", "combined")
+            ]
+            (fam, rep), (comb_fam, comb_rep) = runs
+            assert comb_fam.basis.tobytes() == fam.basis.tobytes()
+            assert comb_rep.index == rep.index
+            assert comb_rep.family_id == (
+                f"unitary_search:seed={seed},from={rep.family_id},accepted=0"
+            )
+
 
 def _planted_tuple(n, rng):
     """Two elements, block diagonal plus one off-diagonal block against a
