@@ -141,6 +141,14 @@ def _write_out(out_dir: str, files: dict) -> list[str]:
     return written
 
 
+def _write_report(out_dir: str, artifacts: dict, doc: dict) -> None:
+    """Write the artifacts, then report.json: doc with the list of every
+    file written, report.json included, under "files"."""
+    written = _write_out(out_dir, artifacts)
+    doc["files"] = written + [str(Path(out_dir) / "report.json")]
+    _write_out(out_dir, {"report.json": doc})
+
+
 def _fraction_str(num: int, den: int) -> str:
     f = Fraction(num, den)
     return f"{f.numerator}/{f.denominator}"
@@ -234,10 +242,7 @@ def cmd_demo(args) -> int:
     }
     doc, artifacts = builders[args.kind](args, cfg)
     if args.out:
-        written = _write_out(args.out, artifacts)
-        report_path = str(Path(args.out) / "report.json")
-        doc["files"] = written + [report_path]
-        _write_out(args.out, {"report.json": doc})
+        _write_report(args.out, artifacts, doc)
     if args.json:
         _emit_json(doc)
     else:
@@ -305,7 +310,7 @@ def cmd_pipeline(args) -> int:
     rep = compression.pipeline(tup, sys, cfg)
     doc = rep.to_doc()
     if args.out:
-        doc["files"] = _write_out(args.out, {"final.json": rep.final, "report.json": doc})
+        _write_report(args.out, {"final.json": rep.final}, doc)
     if args.json:
         _emit_json(doc)
     else:

@@ -10,7 +10,9 @@ class DimensionMismatch(FinfactorError):
 
 
 class DimensionOverflow(FinfactorError):
-    """A construction would exceed the configured ambient-dimension cap."""
+    """A construction would exceed the configured ambient-dimension cap, or
+    generate or commutant would pass the span byte budget (1 GiB of n^4
+    complex entries)."""
 
 
 class NotSelfAdjoint(FinfactorError):
@@ -34,7 +36,9 @@ class SystemTooSmall(FinfactorError):
 
 
 class SupportMismatch(FinfactorError):
-    """Chained unit systems fail the nesting support precondition."""
+    """Chained unit systems fail the nesting support precondition, or
+    family_from_units gets a system that is not full or whose column runs
+    are off unitary."""
 
 
 class FactorTooSmall(FinfactorError):

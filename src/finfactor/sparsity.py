@@ -193,7 +193,7 @@ def _as_tuple(xs) -> GeneratorTuple:
 
 def diagonal_family(n: int, k: int) -> ProjectionFamily:
     """Standard diagonal family: contiguous groups of n/k basis projections."""
-    if n % k:
+    if k < 1 or n % k:
         raise NotDivisible(f"k={k} does not divide n={n}")
     m = n // k
     groups = [list(range(j * m, (j + 1) * m)) for j in range(k)]
@@ -203,7 +203,7 @@ def diagonal_family(n: int, k: int) -> ProjectionFamily:
 def family_from_grouping(n: int, groups) -> ProjectionFamily:
     """Family of diagonal 0/1 projections from a balanced partition of 0..n-1."""
     k = len(groups)
-    if n % k:
+    if k < 1 or n % k:
         raise NotDivisible(f"k={k} does not divide n={n}")
     m = n // k
     order = [i for g in groups for i in g]

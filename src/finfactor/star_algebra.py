@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, DimensionOverflow
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _working_field,
     as_matrix,
     identity,
     same_dim,
@@ -95,46 +94,40 @@ class _SpanBuilder:
     both passes off the span as before, so the admission decisions and the
     rows admitted are those of the span-side prefilter.
 
-    Rows, W and Y hold the builder's dtype: float64 for a span of real
-    candidates, complex128 otherwise. A real builder refuses complex
-    candidates, whose imaginary parts a cast would drop.
-
     The projections multiply by the conjugates of the rows and of W, which
     are kept rather than formed on every call: _rows_conj[:dim] equals
     _rows[:dim].conj() whenever it is read, so every write to the rows (an
     admission, the end pass) writes the mirror too, and _W_conj is formed
-    each time W is built or shrunk. In a real builder both are the arrays
-    themselves, since conjugation is then the identity.
+    each time W is built or shrunk.
     """
 
-    def __init__(self, n: int, tol: float, dtype=np.complex128):
+    def __init__(self, n: int, tol: float):
         self.n = n
         self.N = n * n
         self.tol = tol
         self.dim = 0
-        self._set_rows(np.zeros((64, self.N), dtype=dtype))
+        self._set_rows(np.zeros((64, self.N), dtype=np.complex128))
         self._W = None  # complement basis, (r, N)
         self._W_conj = None
         self._Y = None  # W-coordinates of the rows admitted since W was built
 
     def _set_rows(self, rows: np.ndarray):
         self._rows = rows
-        self._rows_conj = rows.conj()  # rows itself when real
+        self._rows_conj = rows.conj()
 
     def _sync_conj(self, lo: int, hi: int):
         """Rewrite the mirror of rows lo..hi after they changed."""
-        if self._rows_conj is not self._rows:
-            np.conjugate(self._rows[lo:hi], out=self._rows_conj[lo:hi])
+        np.conjugate(self._rows[lo:hi], out=self._rows_conj[lo:hi])
 
     def _set_complement(self, W: np.ndarray):
         self._W = W
         self._W_conj = W.conj()
-        self._Y = np.zeros((0, W.shape[0]), dtype=self._rows.dtype)
+        self._Y = np.zeros((0, W.shape[0]), dtype=np.complex128)
 
     def _grow(self):
         if self.dim == self._rows.shape[0]:
             cap = min(max(2 * self.dim, 64), self.N)
-            rows = np.zeros((cap, self.N), dtype=self._rows.dtype)
+            rows = np.zeros((cap, self.N), dtype=np.complex128)
             rows[: self.dim] = self._rows[: self.dim]
             self._set_rows(rows)
 
@@ -176,10 +169,7 @@ class _SpanBuilder:
     def absorb(self, cands: np.ndarray) -> int:
         """Absorb a stack of candidate vectors (m, N); returns count admitted."""
         start = self.dim
-        C = np.asarray(cands)
-        if C.dtype.kind == "c" and self._rows.dtype.kind == "f":
-            raise TypeError(f"{C.dtype} candidates for a {self._rows.dtype} span")
-        C = np.ascontiguousarray(C, dtype=self._rows.dtype)
+        C = np.ascontiguousarray(cands, dtype=np.complex128)
         bars = self.tol * np.linalg.norm(C, axis=1)
         if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
             self._set_complement(_complement(self.q()))
@@ -263,11 +253,6 @@ def generate(
     closure): older pairs were absorbed then. An empty generator list yields
     the scalars (ambient_dim must then be given). Stops early once the span
     is all of M_n.
-
-    When every generator is real (all imaginary parts exactly zero), the
-    whole closure runs in float64: products of real rows are real, and a real
-    orthonormal basis of the real algebra is a complex basis of the complex
-    one. The returned elements are complex128 either way.
 
     Raises DimensionOverflow, before allocating anything, when n^4 complex
     entries would pass the span byte budget.
@@ -370,9 +355,8 @@ def _span_closure(gens, n: int, tol: float) -> AlgebraBasis:
     """The closure engine of generate, on checked generators of dim n."""
     N = n * n
     seed = [identity(n)] + gens + [g.conj().T for g in gens]
-    seed = _working_field(np.stack([m.reshape(N) for m in seed]))
-    builder = _SpanBuilder(n, tol, seed.dtype)
-    builder.absorb(seed)
+    builder = _SpanBuilder(n, tol)
+    builder.absorb(np.stack([m.reshape(N) for m in seed]))
     _close(builder)
     return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
 
@@ -467,10 +451,6 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     null-space threshold and the null space are those of the stack, while
     memory stays O(n^4) whatever the number of generators.
 
-    When every generator is real, the slabs, R and the SVD are float64: the
-    constraint map is then real, and a real basis of its null space spans
-    the complex one. The returned elements are complex128 either way.
-
     A scalar set returns full_matrix_basis(n) before any slab is built. The
     block of g has Frobenius norm sqrt(2n) ||g - (tr g / n) I||_F, and the
     Frobenius norm of the stack bounds every singular value of the stack and
@@ -487,12 +467,12 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     n, gens = _generator_list(a)
     _check_span_budget(n)
     N = n * n
-    seen = _working_field(np.stack(gens + [g.conj().T for g in gens]))
+    seen = np.stack(gens + [g.conj().T for g in gens])
     if _scalar_set(seen, cfg.span_tol / 2):
         return full_matrix_basis(n)
-    eye = np.eye(n, dtype=seen.dtype)
+    eye = identity(n)
     per_slab = max(1, _COMMUTANT_SLAB_ROWS // N)
-    R = np.zeros((0, N), dtype=seen.dtype)
+    R = np.zeros((0, N), dtype=np.complex128)
     for lo in range(0, len(seen), per_slab):
         part = seen[lo : lo + per_slab]
         # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
@@ -505,7 +485,7 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     null_mask = svals <= cfg.span_tol * max(1.0, smax)
     null_rows = vh[null_mask].conj()
     elements = math.sqrt(n) * null_rows.reshape(-1, n, n)
-    return AlgebraBasis(ambient_dim=n, elements=elements.astype(np.complex128, copy=False))
+    return AlgebraBasis(ambient_dim=n, elements=elements)
 
 
 def contains(

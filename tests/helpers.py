@@ -6,7 +6,7 @@ one-swap-at-a-time grouping search as the reference for the batched one,
 the one-stack commutant as the differential reference for the streamed one,
 block patterns and supports from k^2 products with the family's projections
 as the reference for the basis-based ones, and a tracemalloc probe of a
-call's peak allocation."""
+call's peak allocation; also seeded inputs shared by several test files."""
 
 import math
 import tracemalloc
@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 
 from finfactor import DEFAULT_TOL, AlgebraBasis, family_from_grouping, frobenius_norm
+from finfactor.matrix_core import random_matrix
 from finfactor.sparsity import _grouping_id
 from finfactor.star_algebra import _generator_list
 
@@ -246,3 +247,19 @@ def two_block_element(seed=1):
         block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] = block
     return x
+
+
+def planted_tuple(n, rng):
+    """Two elements, block diagonal plus one off-diagonal block against a
+    hidden balanced grouping into 8 parts, rows and columns permuted."""
+    m = n // 8
+    perm = rng.permutation(n)
+    xs = []
+    for _ in range(2):
+        x = np.zeros((n, n), dtype=complex)
+        for j in range(8):
+            x[j * m : (j + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
+        i, j = rng.choice(8, size=2, replace=False)
+        x[i * m : (i + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
+        xs.append(x[np.ix_(perm, perm)])
+    return xs

@@ -193,6 +193,13 @@ class TestPipeline:
         final = load_matrix(out / "final.json")
         assert final.shape == (8, 8)
 
+    def test_report_file_equals_the_printed_report(self, capsys, block_file, tmp_path):
+        out = tmp_path / "pipe"
+        code, doc = _run_json(capsys, ["pipeline", block_file, "--json", "--out", str(out)])
+        assert code == 0
+        assert doc["files"] == [str(out / "final.json"), str(out / "report.json")]
+        assert json.loads((out / "report.json").read_text()) == doc
+
     def test_dense_input_exits_two(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "dense.json"

@@ -40,6 +40,7 @@ from finfactor.sparsity import ProjectionFamily
 
 from helpers import (
     grouping_block_count,
+    planted_tuple,
     reference_block_pattern,
     reference_grouping_search,
     reference_support_mask,
@@ -267,19 +268,19 @@ class TestMinimizeIndex:
             return block_pattern(x, fam, cfg)
 
         monkeypatch.setattr(sparsity, "block_pattern", counted)
-        xs = _planted_tuple(16, np.random.default_rng(3))
+        xs = planted_tuple(16, np.random.default_rng(3))
         minimize_index(xs, 4, strategy=strategy, seed=5, restarts=2, iters=200)
         assert calls == [4] * len(xs)
 
     def test_unitary_local_search_returns_the_standard_diagonal_family(self):
-        xs = _planted_tuple(16, np.random.default_rng(4))
+        xs = planted_tuple(16, np.random.default_rng(4))
         for k in (2, 4, 8):
             fam, rep = minimize_index(xs, k, strategy="unitary_local_search", seed=9)
             assert fam.basis.tobytes() == diagonal_family(16, k).basis.tobytes()
             assert rep.family_id == "unitary_search:seed=9,from=standard_diagonal,accepted=0"
 
     def test_combined_returns_the_grouping_family(self):
-        xs = _planted_tuple(32, np.random.default_rng(5))
+        xs = planted_tuple(32, np.random.default_rng(5))
         for seed, restarts in ((0, 0), (7, 2), (11, 3)):
             runs = [
                 minimize_index(xs, 8, strategy=strategy, seed=seed, restarts=restarts)
@@ -293,28 +294,12 @@ class TestMinimizeIndex:
             )
 
 
-def _planted_tuple(n, rng):
-    """Two elements, block diagonal plus one off-diagonal block against a
-    hidden balanced grouping into 8 parts, rows and columns permuted."""
-    m = n // 8
-    perm = rng.permutation(n)
-    xs = []
-    for _ in range(2):
-        x = np.zeros((n, n), dtype=complex)
-        for j in range(8):
-            x[j * m : (j + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
-        i, j = rng.choice(8, size=2, replace=False)
-        x[i * m : (i + 1) * m, j * m : (j + 1) * m] = random_matrix(m, rng)
-        xs.append(x[np.ix_(perm, perm)])
-    return xs
-
-
 def _grouping_search_cases():
     """(tuple, k, restarts): planted n=16/32/48 at k=4/8, then random sparse,
     dense and 1e-8-scaled tuples of one to three elements at k=1, k=n and a
     proper divisor, with restarts cycling through 0..3."""
     rng = np.random.default_rng(2024)
-    cases = [(_planted_tuple(n, rng), k) for n in (16, 32, 48) for k in (4, 8)]
+    cases = [(planted_tuple(n, rng), k) for n in (16, 32, 48) for k in (4, 8)]
     for n, k in ((6, 1), (6, 6), (6, 3), (8, 8), (8, 2), (12, 4), (12, 12), (12, 6)):
         for kind in ("sparse", "dense", "scaled"):
             xs = [random_matrix(n, rng) for _ in range(int(rng.integers(1, 4)))]
@@ -518,6 +503,16 @@ class TestFamilyValidation:
     def test_k_must_divide_n(self):
         with pytest.raises(NotDivisible):
             ProjectionFamily(ambient_dim=4, k=3, basis=identity(4)).validate()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: diagonal_family(4, 0), lambda: diagonal_family(4, -2),
+         lambda: family_from_grouping(4, [])],
+        ids=["diagonal-zero", "diagonal-negative", "grouping-empty"],
+    )
+    def test_nonpositive_family_size_is_not_divisible(self, build):
+        with pytest.raises(NotDivisible, match="does not divide n=4"):
+            build()
 
     def test_eta_is_reported(self):
         cfg = ToleranceConfig(zero_block_eta=1e-6)

@@ -466,7 +466,7 @@ def test_commutant_memory_does_not_grow_with_generators():
     assert twelve <= 2 * one
 
 
-# --- real field: every input real, the kernels run in float64 ------------------
+# --- real field: real inputs give the complex algebra's dimension --------------
 
 
 def _real_adversarial_generators(count):
@@ -509,7 +509,8 @@ def test_real_generators_match_complex_references():
     "sizes, dim", [((12, 4), 160), ((15, 1), 226), ((15, 2), 229), ((16, 2), 260)]
 )
 def test_real_proper_subalgebra_past_half_of_m_n(sizes, dim, variant):
-    # real direct sums at n = 16..18: the complement prefilter runs in float64
+    # real direct sums at n = 16..18: past half of M_n the complement
+    # prefilter runs, on real candidates in complex arithmetic
     rng = np.random.default_rng(sum(sizes) + 100)
     gens = [_direct_sum([rng.standard_normal((s, s)) for s in sizes]) for _ in range(2)]
     if variant == "orthogonal":
@@ -518,33 +519,6 @@ def test_real_proper_subalgebra_past_half_of_m_n(sizes, dim, variant):
     basis = generate(gens)
     assert basis.dim == dim
     assert equal(basis, commutant(commutant(gens)))
-
-
-def _tower_and_phased_copy():
-    """A real tower pair and the same pair conjugated by a non-real diagonal
-    unitary: the same algebra up to unitary equivalence, in complex arithmetic."""
-    x1, x2, _ = hyperfinite_pair([3, 3])
-    phases = np.exp(1j * np.random.default_rng(6).uniform(0.1, 3.0, x1.shape[0]))
-    d = np.diag(phases)
-    return [x1, x2], [d @ x1 @ d.conj().T, d @ x2 @ d.conj().T]
-
-
-@pytest.mark.parametrize(
-    "kernel, bound", [pytest.param(_engine, 0.9, id="generate-0.9"), (commutant, 0.7)]
-)
-def test_real_inputs_run_in_real_arithmetic(kernel, bound):
-    real, phased = _tower_and_phased_copy()
-    assert not any(x.imag.any() for x in real) and any(x.imag.any() for x in phased)
-    assert kernel(real).dim == kernel(phased).dim
-    ratio = traced_peak(lambda: kernel(real)) / traced_peak(lambda: kernel(phased))
-    assert ratio <= bound
-
-
-def test_real_span_refuses_complex_candidates():
-    builder = _SpanBuilder(2, 1e-8, np.float64)
-    with pytest.raises(TypeError):
-        builder.absorb(np.ones((1, 4), dtype=np.complex128))
-    assert builder.absorb(np.eye(4)) == 4
 
 
 # --- scalar sets: their commutant is M_n, answered without a factorization -----
@@ -687,43 +661,53 @@ def test_conjugate_mirror_gives_the_bases_of_fresh_conjugation(name, monkeypatch
 
 
 def test_real_complement_owns_only_its_rows():
+    # real candidates: W and its mirror are complex128 arrays of their own,
+    # not views into the complete QR factor
     n = 16
     N = n * n
     rng = np.random.default_rng(17)
-    builder = _SpanBuilder(n, 1e-8, np.float64)
+    builder = _SpanBuilder(n, 1e-8)
     builder.absorb(rng.standard_normal((N // 2 + 8, N)))
     builder.absorb(rng.standard_normal((4, N)))
     W = builder._W
-    assert W.shape == (N - (N // 2 + 8), N)
-    assert builder._rows_conj is builder._rows and builder._W_conj is W
-    root = W
-    while root.base is not None:
-        root = root.base
-    assert root.nbytes == W.nbytes
+    assert W.shape == (N - (N // 2 + 8), N) and W.dtype == np.complex128
+    assert np.array_equal(builder._W_conj, W.conj())
+    for held in (W, builder._W_conj):
+        root = held
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == held.nbytes
 
 
 @pytest.mark.parametrize("case", ["tower_3_3_3", "sum_12_4"])
 def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
-    # once the closure ends, only the rows (and the copies of the inputs, under
-    # 100 KiB here) are left beside the complex128 output, written in place:
-    # no float64 copy of it, no complement basis and no product block
+    # once the closure ends, only the rows and their conjugate mirror (and
+    # the copies of the inputs, under 100 KiB here) are left beside the
+    # output, written in place: the complement basis (W, its mirror and Y)
+    # is released before the output is built, and no copy of the output and
+    # no product block is made
     if case == "tower_3_3_3":
         x1, x2, _ = hyperfinite_pair([3, 3, 3])
         gens = [x1, x2]
     else:
         rng = np.random.default_rng(116)
         gens = [_direct_sum([rng.standard_normal((s, s)) for s in (12, 4)]) for _ in range(2)]
-    close, rows = star_algebra._close, []
+    close, held = star_algebra._close, []
 
     def end_of_closure(builder):
         close(builder)
-        rows.append(builder._rows.nbytes)
+        complement = (builder._W, builder._W_conj, builder._Y)
+        held.append((
+            builder._rows.nbytes + builder._rows_conj.nbytes,
+            sum(a.nbytes for a in complement if a is not None),
+        ))
         tracemalloc.reset_peak()
 
     monkeypatch.setattr(star_algebra, "_close", end_of_closure)
     basis = _engine(gens)
     peak = traced_peak(lambda: _engine(gens))
-    assert peak <= rows[-1] + basis.elements.nbytes + 160 * 1024
+    rows, complement = held[-1]
+    assert peak <= rows + max(complement, basis.elements.nbytes) + 160 * 1024
 
 
 # --- the full-algebra certificate: a closure of vectors that proves A = M_n ----
