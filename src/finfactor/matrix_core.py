@@ -78,16 +78,51 @@ def check_dimension_cap(n: int) -> None:
         raise DimensionOverflow(f"ambient dimension {n} exceeds cap {cap}")
 
 
+def _square_dim(shape) -> int:
+    """n for a matrix shape (n, n) with n >= 1; raises DimensionMismatch
+    for any other shape."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 1:
+        raise DimensionMismatch("matrices must have dimension >= 1")
+    return shape[0]
+
+
+def _common_dim(dims) -> int:
+    dims = set(dims)
+    if len(dims) != 1:
+        raise DimensionMismatch(f"ambient dimensions differ: {sorted(dims)}")
+    return dims.pop()
+
+
+def _check_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce to a square complex128 array; reject non-square or non-finite input."""
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise DimensionMismatch("matrices must have dimension >= 1")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+    _square_dim(a.shape)
+    _check_finite(a)
     return a
+
+
+def stack_dim(mats: list) -> int | None:
+    """The common dim of a list of matrices, read from their shapes alone
+    (None for an empty list). Raises DimensionMismatch as as_matrix and
+    same_dim do: for a matrix that is not square or has dim 0, and for
+    mixed sizes."""
+    return _common_dim(_square_dim(np.shape(m)) for m in mats) if mats else None
+
+
+def as_matrix_stack(mats: list, n: int) -> np.ndarray:
+    """A list of matrices of dim n, as stack_dim checked it, as one new
+    (g, n, n) complex128 stack: one conversion and one finiteness check
+    however many matrices. Raises ValueError for a non-finite entry."""
+    stack = np.array(mats, dtype=np.complex128).reshape(len(mats), n, n)
+    _check_finite(stack)
+    return stack
 
 
 def _working_field(stack: np.ndarray) -> np.ndarray:
@@ -101,10 +136,7 @@ def _working_field(stack: np.ndarray) -> np.ndarray:
 
 
 def same_dim(*mats: np.ndarray) -> int:
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"ambient dimensions differ: {sorted(dims)}")
-    return dims.pop()
+    return _common_dim(m.shape[0] for m in mats)
 
 
 def identity(n: int) -> np.ndarray:

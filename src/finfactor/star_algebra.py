@@ -19,8 +19,9 @@ from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    as_matrix_stack,
     identity,
-    same_dim,
+    stack_dim,
 )
 
 
@@ -52,9 +53,11 @@ _COMMUTANT_SLAB_ROWS = 400
 # factor, a basis of M_n); they refuse an n whose n^4 complex128 entries would
 # pass this many bytes before allocating anything (n <= 90 fits)
 _SPAN_BYTE_BUDGET = 1 << 30
-# the full-algebra certificate's bars, in units of span_tol: the eigen-gap of
-# the chosen vector, and the residual of every vector the closure admits
+# the Wedderburn split's bars, in units of span_tol: the eigen-gap of the
+# chosen vector, and the residual of every vector its spin-up admits
 _CERTIFICATE_FLOOR = 1e3
+# seed of the split's fixed real mix of all self-adjoint parts
+_MIX_SEED = 0
 
 
 def _check_span_budget(n: int):
@@ -78,8 +81,9 @@ class _SpanBuilder:
     """Growing orthonormal span with the relative-residual admission rule.
 
     A candidate joins the basis iff its residual after projection exceeds
-    span_tol times the candidate's original Frobenius norm. A block is
-    projected off the span held at entry with two classical Gram-Schmidt
+    span_tol times the candidate's original Frobenius norm, or times floor
+    when that is larger (floor 0 by default: a purely relative rule). A
+    block is projected off the span held at entry with two classical Gram-Schmidt
     passes (CGS2); each survivor is then orthogonalized, twice, against the
     rows admitted earlier in the same block and tested on its own. The rows
     a block admits get one more pass off the entry span, and go through the
@@ -101,10 +105,11 @@ class _SpanBuilder:
     each time W is built or shrunk.
     """
 
-    def __init__(self, n: int, tol: float):
+    def __init__(self, n: int, tol: float, floor: float = 0.0):
         self.n = n
         self.N = n * n
         self.tol = tol
+        self.floor = floor
         self.dim = 0
         self._set_rows(np.zeros((64, self.N), dtype=np.complex128))
         self._W = None  # complement basis, (r, N)
@@ -170,7 +175,7 @@ class _SpanBuilder:
         """Absorb a stack of candidate vectors (m, N); returns count admitted."""
         start = self.dim
         C = np.ascontiguousarray(cands, dtype=np.complex128)
-        bars = self.tol * np.linalg.norm(C, axis=1)
+        bars = self.tol * np.maximum(np.linalg.norm(C, axis=1), self.floor)
         if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
             self._set_complement(_complement(self.q()))
         if self._W is None:
@@ -242,120 +247,211 @@ def generate(
 ) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
-    First asks the full-algebra certificate (_full_algebra_margins), a
-    closure of vectors; when it proves that the algebra is M_n, the result is
-    full_matrix_basis(n), which holds no n^4 array until its elements are
-    read (its dim, equal and contains need none). Otherwise the closure
-    engine (_span_closure) seeds the span with I, the generators, and their
-    adjoints, then repeatedly multiplies basis pairs and absorbs new
-    directions until the span is stable. A round forms only the products
-    with at least one factor added in the previous round (semi-naive
-    closure): older pairs were absorbed then. An empty generator list yields
-    the scalars (ambient_dim must then be given). Stops early once the span
-    is all of M_n.
+    First splits the algebra into its multiplicity-free blocks by vector
+    spin-up (_wedderburn_split): each block M_d is found from one vector in
+    O(n^3) work, and when one block is all of C^n the result is
+    full_matrix_basis(n). A split result holds no n^4 array until its
+    elements are read (its dim needs none; equal and contains on M_n need
+    none either). The closure engine (_span_closure) runs only on what the
+    split leaves: a remainder in which no self-adjoint part has an isolated
+    eigenvalue, such as M_k (x) I. The engine seeds the span with I, the
+    generators, and their adjoints, then repeatedly multiplies basis pairs
+    and absorbs new directions until the span is stable. A round forms only
+    the products with at least one factor added in the previous round
+    (semi-naive closure): older pairs were absorbed then. An empty generator
+    list yields the scalars (ambient_dim must then be given). Stops early
+    once the span is all of M_n.
 
-    Raises DimensionOverflow, before allocating anything, when n^4 complex
-    entries would pass the span byte budget.
+    The generators are checked as one stack: DimensionMismatch for a matrix
+    that is not square, a list of mixed sizes or an ambient_dim that does
+    not match, ValueError for a non-finite entry. Raises DimensionOverflow,
+    before allocating anything, when n^4 complex entries would pass the
+    span byte budget.
     """
-    gens = [as_matrix(g) for g in generators]
-    if gens:
-        n = same_dim(*gens)
-        if ambient_dim is not None and ambient_dim != n:
-            raise DimensionMismatch(
-                f"ambient_dim {ambient_dim} does not match generators of dim {n}"
-            )
-    else:
+    gens = list(generators)
+    n = stack_dim(gens)
+    if n is None:
         if ambient_dim is None:
             raise DimensionMismatch("ambient_dim is required for an empty generator list")
         n = ambient_dim
+    elif ambient_dim is not None and ambient_dim != n:
+        raise DimensionMismatch(
+            f"ambient_dim {ambient_dim} does not match generators of dim {n}"
+        )
     _check_span_budget(n)
-    if _full_algebra_margins(gens, cfg.span_tol) is not None:
-        return full_matrix_basis(n)
-    return _span_closure(gens, n, cfg.span_tol)
+    return _wedderburn_split(as_matrix_stack(gens, n), cfg.span_tol).result()
 
 
-def _full_algebra_margins(gens, tol: float):
-    """(gap, worst_admitted) when the unital *-algebra A of gens is provably
-    M_n, else None (the set may still generate M_n).
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """A multiplicity-free block of a split algebra: the algebra holds all
+    of L(range V) and the projection onto range V is central in it."""
 
-    Burnside's theorem run as Norton's irreducibility test (Parker, "The
-    computer calculation of modular characters (the Meat-Axe)", 1984; Holt
-    and Rees, J. Austral. Math. Soc. A 57, 1994). If A holds vv* for a unit
-    vector v and A.v = C^n, then uw* = a vv* b* lies in A for all u = av and
-    w = bv, so A = M_n.
+    V: np.ndarray  # (n, d), orthonormal columns
+    gap: float  # eigen-gap of the vector whose spin-up spans range V
+    worst: float  # smallest admitted spin-up residual (inf when d = 1)
 
-    The letters are the nonzero generators scaled to unit Frobenius norm,
-    and their adjoints. v is an eigenvector, from one batched eigh, of the
-    most isolated eigenvalue of the Hermitian parts (g + g*)/2 and the
-    anti-Hermitian parts (g - g*)/2i of the letters: the spectral projection
-    of a simple eigenvalue is a polynomial in that part, so vv* lies in A.
-    Its gap is measured against the letter's unit norm, not against the
-    part's own spectral radius, so a part that is rounding noise (the
-    anti-Hermitian part of a matrix Hermitian up to rounding) cannot supply
-    v. A.v is then spanned by words in the letters applied to v: each round
-    applies every letter to the vectors the last round admitted, projects
-    them off the span twice (CGS2), and admits a candidate c, orthogonalized
-    against the round's earlier admissions, iff its residual exceeds
-    _CERTIFICATE_FLOOR * tol * max(||c||, 1). That floor keeps products that
-    vanish up to rounding out, which a bar relative to ||c|| alone would let
-    in. gap and worst_admitted (the smallest admitted residual) both exceed
-    _CERTIFICATE_FLOOR * tol.
-    """
-    if not gens or gens[0].shape[0] < 2:
-        return None
-    n = gens[0].shape[0]
-    stack = np.stack(gens)
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    if not norms.all():
-        stack, norms = stack[norms > 0], norms[norms > 0]
-        if not len(stack):
-            return None
-    stack /= norms[:, None, None]
-    adjoints = stack.conj().transpose(0, 2, 1)
-    # R @ letters_t[l] applies letter l to every row of R
-    letters_t = np.concatenate([stack, adjoints]).transpose(0, 2, 1)
-    w, vecs = np.linalg.eigh(np.concatenate([stack + adjoints, -1j * (stack - adjoints)]) / 2)
+
+def _mix_weights(m: int) -> np.ndarray:
+    """m fixed real weights with sum |w| = 1, from a fixed seed."""
+    w = np.random.default_rng(_MIX_SEED).standard_normal(m)
+    return w / np.abs(w).sum()
+
+
+def _most_isolated(w: np.ndarray):
+    """(gap, row, index) of the eigenvalue farthest from its neighbours in a
+    stack of ascending spectra w, shape (m, r) with r >= 2."""
     steps = np.diff(w, axis=1)
     gaps = np.empty_like(w)
     gaps[:, 0], gaps[:, -1] = steps[:, 0], steps[:, -1]
     np.minimum(steps[:, :-1], steps[:, 1:], out=gaps[:, 1:-1])
-    part, i = divmod(int(np.argmax(gaps)), n)
-    gap, bar = float(gaps[part, i]), _CERTIFICATE_FLOOR * tol
-    if not gap > bar:
-        return None
-    # a letter has operator norm at most its Frobenius norm 1, so every
-    # candidate has ||c|| <= 1 and its floor max(||c||, 1) * bar is bar
-    Q = np.zeros((n, n), dtype=np.complex128)  # rows: orthonormal basis of A.v so far
-    Q[0] = vecs[part, :, i]
+    row, i = divmod(int(np.argmax(gaps)), w.shape[1])
+    return float(gaps[row, i]), row, i
+
+
+def _isolated_vector(letters, adjoints, bar: float):
+    """(gap, v): a unit eigenvector v of an eigenvalue whose gap to its
+    neighbours exceeds bar, in a self-adjoint element of the algebra of the
+    letters; None when there is none.
+
+    The candidates are the Hermitian parts (l + l*)/2 and the
+    anti-Hermitian parts (l - l*)/2i of the letters, from one batched eigh,
+    and failing those one fixed real mix of all parts with sum |w| = 1."""
+    parts = np.concatenate([letters + adjoints, -1j * (letters - adjoints)]) / 2
+    w, vecs = np.linalg.eigh(parts)
+    gap, part, i = _most_isolated(w)
+    if gap > bar:
+        return gap, vecs[part, :, i]
+    w, vecs = np.linalg.eigh(np.tensordot(_mix_weights(len(parts)), parts, axes=1))
+    gap, _, i = _most_isolated(w[None])
+    if gap > bar:
+        return gap, vecs[:, i]
+    return None
+
+
+def _spin_up(letters_t, v, bar: float):
+    """(Q, worst): orthonormal rows Q spanning A.v, the span of the words
+    in the letters applied to v, and the smallest residual admitted.
+
+    Each round applies every letter to the vectors the last round admitted,
+    projects them off the span twice (CGS2), and admits a candidate c,
+    orthogonalized against the round's earlier admissions, iff its residual
+    exceeds bar * max(||c||, 1). A letter has operator norm at most its
+    Frobenius norm, at most 1, so ||c|| <= 1 and that floor is bar itself;
+    it keeps products that vanish up to rounding out, which a bar relative
+    to ||c|| alone would let in."""
+    r = len(v)
+    Q = np.zeros((r, r), dtype=np.complex128)  # rows: orthonormal basis of A.v so far
+    Q[0] = v
     dim, done, worst = 1, 0, math.inf
-    while done < dim < n:
-        C = (Q[done:dim] @ letters_t).reshape(-1, n)
+    while done < dim < r:
+        C = (Q[done:dim] @ letters_t).reshape(-1, r)
         span, span_h = Q[:dim], Q[:dim].conj().T
         for _ in range(2):
             C -= (C @ span_h) @ span
         res = np.linalg.norm(C, axis=1)
         survivors = res > bar
         done = dim
-        for c, r in zip(C[survivors], res[survivors]):
+        for c, res_c in zip(C[survivors], res[survivors]):
             if dim > done:  # orthogonalize against this round's admissions
                 new = Q[done:dim]
                 for _ in range(2):
                     c = c - (new.conj() @ c) @ new
-                r = math.sqrt(np.vdot(c, c).real)
-            if r > bar:
-                Q[dim] = c / r
+                res_c = math.sqrt(np.vdot(c, c).real)
+            if res_c > bar:
+                Q[dim] = c / res_c
                 dim += 1
-                worst = min(worst, float(r))
-                if dim == n:
+                worst = min(worst, float(res_c))
+                if dim == r:
                     break
-    return (gap, worst) if dim == n else None
+    return Q[:dim], worst
 
 
-def _span_closure(gens, n: int, tol: float) -> AlgebraBasis:
-    """The closure engine of generate, on checked generators of dim n."""
+def _wedderburn_split(stack: np.ndarray, tol: float) -> "_SplitBasis":
+    """The unital *-algebra A of a checked (g, n, n) stack, split into its
+    multiplicity-free blocks and one remainder.
+
+    The letters are the nonzero generators scaled to unit Frobenius norm,
+    and their adjoints. Each step takes v from _isolated_vector. The
+    spectral projection of a simple eigenvalue is a polynomial in its part,
+    so vv* lies in A. Then W = A.v reduces A, and uw* = a vv* b* lies in A
+    for all u = av and w = bv in W, so A holds all of L(W) and the
+    projection onto W is central in A: A = M_d (+) A|W-perp with d = dim W.
+    (Burnside's theorem run as Norton's irreducibility test: R. A. Parker,
+    "The computer calculation of modular characters (the Meat-Axe)", 1984;
+    D. F. Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994. The block
+    decomposition follows K. Murota, Y. Kanno, M. Kojima and S. Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010.) W is spun up from v by
+    _spin_up, and the step repeats on the letters compressed to the
+    orthogonal complement, U*lU.
+
+    The eigen-gap of v is measured against the letters' unit norm, not
+    against the part's own spectral radius, so a part that is rounding noise
+    (the anti-Hermitian part of a matrix Hermitian up to rounding, a letter
+    that vanishes on the complement) cannot supply v. Both it and every
+    admitted spin-up residual exceed bar = _CERTIFICATE_FLOOR * tol. A
+    spin-up that stops short of C^r has only shown that no residual clears
+    bar; a letter may still map range Q out of itself by an amount between
+    tol and bar, a genuine direction. So range Q is taken as a block only
+    when every letter and adjoint maps it out of itself by at most tol in
+    Frobenius norm; otherwise the split stops there and the letters at hand
+    are the remainder. The eigenvalues of a block with multiplicity repeat,
+    so no gap is found in it. A remainder is the scalars when every compressed
+    letter is within tol of a scalar (in Frobenius norm), else the closure
+    engine's algebra of its non-scalar letters, at its size r, with the
+    floor 1: a candidate c is admitted iff its residual exceeds
+    tol * max(||c||, 1). The compressed letters keep the letters' unit scale,
+    and in the basis U the products that vanish exactly, such as e_ij e_kl
+    of amplified units, vanish only up to rounding, which a bar relative to
+    ||c|| alone would admit. When no block splits off at all, the engine
+    runs on the generators themselves, with its relative rule.
+    """
+    n = stack.shape[1]
+    bar = _CERTIFICATE_FLOOR * tol
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    keep = norms > 0
+    letters = (stack[keep] if not keep.all() else stack) / norms[keep, None, None]
+    blocks, U, r = [], None, n
+    while r > 1 and len(letters):
+        adjoints = letters.conj().transpose(0, 2, 1)
+        found = _isolated_vector(letters, adjoints, bar)
+        if found is None:
+            break
+        gap, v = found
+        both = np.concatenate([letters, adjoints])
+        # R @ letters_t[l] applies letter l to every row of R
+        Q, worst = _spin_up(both.transpose(0, 2, 1), v, bar)
+        if len(Q) < r:
+            W = _complement(Q)  # rows spanning the complement of A.v
+            # the spin-up stops once no residual clears bar; range Q is a
+            # block only if no letter maps it out of itself by more than tol
+            if np.linalg.norm(W.conj() @ (both @ Q.T), axis=(1, 2)).max() > tol:
+                break
+        blocks.append(_Block(Q.T if U is None else U @ Q.T, gap, worst))
+        r -= len(Q)
+        if not r:
+            return _SplitBasis(n, tuple(blocks), None, None)
+        U = W.T if U is None else U @ W.T
+        letters = W.conj() @ letters @ W.T
+    diag = np.arange(r)
+    traceless = letters.copy()
+    traceless[:, diag, diag] -= (np.trace(letters, axis1=1, axis2=2) / r)[:, None]
+    moving = np.linalg.norm(traceless, axis=(1, 2)) > tol
+    if not moving.any():
+        remainder = AlgebraBasis(ambient_dim=r, elements=identity(r)[None])
+    elif U is None:
+        remainder = _span_closure(list(stack), n, tol)
+    else:
+        remainder = _span_closure(list(letters[moving]), r, tol, floor=1.0)
+    return _SplitBasis(n, tuple(blocks), U, remainder)
+
+
+def _span_closure(gens, n: int, tol: float, floor: float = 0.0) -> AlgebraBasis:
+    """The closure engine of generate, on checked generators of dim n, with
+    _SpanBuilder's admission floor."""
     N = n * n
     seed = [identity(n)] + gens + [g.conj().T for g in gens]
-    builder = _SpanBuilder(n, tol)
+    builder = _SpanBuilder(n, tol, floor)
     builder.absorb(np.stack([m.reshape(N) for m in seed]))
     _close(builder)
     return AlgebraBasis(ambient_dim=n, elements=builder.tau_orthonormal())
@@ -398,6 +494,57 @@ class _FullMatrixBasis(AlgebraBasis):
         return elements.reshape(n * n, n, n)
 
 
+class _SplitBasis(AlgebraBasis):
+    """An algebra as the direct sum of its multiplicity-free blocks
+    (_Block) and at most one remainder: the orthonormal columns U of the
+    remainder's subspace and the algebra there, at size r, as an
+    AlgebraBasis. With no block, the remainder is all of C^n and U is None;
+    with no remainder, both are None.
+
+    dim comes from the block sizes at once; the elements are built on first
+    read and then kept. Block V gives sqrt(n) V e_ab V* for a, b < d; the
+    remainder's basis B is lifted as sqrt(n / r) U B U*. Both are
+    tau-orthonormal in M_n, and blocks on orthogonal subspaces are
+    orthogonal."""
+
+    def __init__(self, n: int, blocks: tuple, U, remainder):
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "remainder", remainder)
+
+    @property
+    def dim(self) -> int:
+        rest = self.remainder.dim if self.remainder is not None else 0
+        return sum(b.V.shape[1] ** 2 for b in self.blocks) + rest
+
+    def result(self) -> AlgebraBasis:
+        """What generate returns: the remainder itself when no block split
+        off, M_n when one block is all of C^n, else this split."""
+        if not self.blocks:
+            return self.remainder
+        if self.blocks[0].V.shape[1] == self.ambient_dim:
+            return full_matrix_basis(self.ambient_dim)
+        return self
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        n = self.ambient_dim
+        out = np.empty((self.dim, n, n), dtype=np.complex128)
+        lo = 0
+        for block in self.blocks:
+            d = block.V.shape[1]
+            view = out[lo : lo + d * d].reshape(d, d, n, n)
+            np.einsum("ia,jb->abij", block.V, block.V.conj(), out=view)
+            view *= math.sqrt(n)
+            lo += d * d
+        if self.remainder is not None:
+            r = self.U.shape[1]
+            np.matmul(self.U @ self.remainder.elements, self.U.conj().T, out=out[lo:])
+            out[lo:] *= math.sqrt(n / r)
+        return out
+
+
 def full_matrix_basis(n: int) -> AlgebraBasis:
     """Tau-orthonormal basis of all of M_n (scaled elementary matrices:
     sqrt(n) I_{n^2} reshaped to (n^2, n, n)).
@@ -410,12 +557,19 @@ def full_matrix_basis(n: int) -> AlgebraBasis:
 
 
 def _generator_list(a):
+    """(n, stack): the elements of an AlgebraBasis, or a non-empty list of
+    matrices checked as one stack as generate checks it. Raises
+    DimensionOverflow before the stack is read or built when n^4 complex
+    entries would pass the span byte budget."""
     if isinstance(a, AlgebraBasis):
-        return a.ambient_dim, [a.elements[i] for i in range(a.dim)]
-    gens = [as_matrix(g) for g in a]
-    if not gens:
+        _check_span_budget(a.ambient_dim)
+        return a.ambient_dim, a.elements
+    gens = list(a)
+    n = stack_dim(gens)
+    if n is None:
         raise DimensionMismatch("commutant of an empty list needs an AlgebraBasis or matrices")
-    return same_dim(*gens), gens
+    _check_span_budget(n)
+    return n, as_matrix_stack(gens, n)
 
 
 def _scalar_set(seen: np.ndarray, bound: float) -> bool:
@@ -442,7 +596,11 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
 
     Computed as the joint null space of the linear maps x -> xg - gx on the
     n^2-dimensional matrix space. Adjoints are included so the result is
-    *-closed for arbitrary input sets.
+    *-closed for arbitrary input sets. Each generator is first scaled to unit
+    Frobenius norm and zero ones are dropped: the commutant is the same, and
+    the null-space threshold below, absolute once the stack's singular values
+    are under 1, becomes relative to the inputs, so the result does not
+    depend on their scale.
 
     The constraint blocks are never stacked: slabs of consecutive blocks are
     folded into a running n^2 x n^2 triangular factor R (the R of a
@@ -465,9 +623,13 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     entries would pass the span byte budget.
     """
     n, gens = _generator_list(a)
-    _check_span_budget(n)
     N = n * n
-    seen = np.stack(gens + [g.conj().T for g in gens])
+    norms = np.linalg.norm(gens, axis=(1, 2))
+    keep = norms > 0
+    m = int(keep.sum())
+    seen = np.empty((2 * m, n, n), dtype=np.complex128)
+    np.divide(gens if keep.all() else gens[keep], norms[keep, None, None], out=seen[:m])
+    np.conjugate(seen[:m].transpose(0, 2, 1), out=seen[m:])
     if _scalar_set(seen, cfg.span_tol / 2):
         return full_matrix_basis(n)
     eye = identity(n)

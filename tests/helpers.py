@@ -106,10 +106,16 @@ def reference_closure_dim(generators, n):
 
 def reference_commutant(a, cfg=DEFAULT_TOL):
     """Commutant by one SVD of all 2g constraint blocks stacked into a
-    (2g*n^2) x n^2 matrix, with the same null-space threshold as commutant."""
+    (2g*n^2) x n^2 matrix, with the same null-space threshold as commutant,
+    and like commutant on the nonzero generators scaled to unit Frobenius
+    norm (no generator left: everything commutes)."""
     n, gens = _generator_list(a)
     N = n * n
     eye = np.eye(n, dtype=np.complex128)
+    gens = [g / np.linalg.norm(g) for g in gens if np.linalg.norm(g) > 0]
+    if not gens:
+        elements = math.sqrt(n) * np.eye(N, dtype=np.complex128).reshape(N, n, n)
+        return AlgebraBasis(ambient_dim=n, elements=elements)
     seen = np.stack(gens + [g.conj().T for g in gens])
     stacked = eye[None, :, None, :, None] * seen.transpose(0, 2, 1)[:, None, :, None, :]
     stacked -= seen[:, :, None, :, None] * eye[None, None, :, None, :]

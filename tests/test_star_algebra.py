@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from finfactor import (
     standard_units,
     unit_matrix,
 )
-from finfactor import star_algebra
+from finfactor import acceptance, star_algebra
 from finfactor.errors import DimensionMismatch, DimensionOverflow
 from finfactor.matrix_core import as_matrix, random_hermitian, random_matrix, random_unitary
 from finfactor.star_algebra import _SpanBuilder
@@ -37,8 +38,8 @@ from helpers import (
 
 
 def _engine(gens):
-    """generate's closure engine, run even where the full-algebra
-    certificate would answer first."""
+    """generate's closure engine, run on the whole set even where the
+    Wedderburn split would answer first."""
     gens = [as_matrix(g) for g in gens]
     return star_algebra._span_closure(gens, gens[0].shape[0], DEFAULT_TOL.span_tol)
 
@@ -96,6 +97,34 @@ class TestGenerate:
         assert all(v < 1e-8 for v in res.values()), res
 
 
+_BAD_LISTS = {
+    "non_square": ([np.ones((2, 3))], DimensionMismatch, "expected a square matrix"),
+    "vector": ([identity(2), np.ones(4)], DimensionMismatch, "expected a square matrix"),
+    "mixed_sizes": ([identity(2), identity(3)], DimensionMismatch, "ambient dimensions differ"),
+    "empty_dim": ([np.zeros((0, 0))], DimensionMismatch, "dimension >= 1"),
+    "nan": ([identity(2), [[1.0, np.nan], [0.0, 1.0]]], ValueError, "finite"),
+    "inf": ([[[np.inf, 0.0], [0.0, 1.0]], identity(2)], ValueError, "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LISTS))
+def test_generator_lists_are_checked_as_one_stack(case):
+    gens, error, message = _BAD_LISTS[case]
+    with pytest.raises(error, match=message):
+        generate(gens)
+    with pytest.raises(error, match=message):
+        commutant(gens)
+
+
+def test_generate_leaves_a_stacked_input_untouched():
+    rng = np.random.default_rng(27)
+    stack = np.stack([random_matrix(4, rng) for _ in range(2)])
+    kept = stack.copy()
+    assert generate(stack).dim == 16
+    assert commutant(stack).dim == 1
+    assert stack.tobytes() == kept.tobytes()
+
+
 class TestCommutant:
     def test_full_algebra_has_scalar_commutant(self):
         assert commutant(full_matrix_basis(3)).dim == 1
@@ -106,6 +135,16 @@ class TestCommutant:
     def test_diagonal_algebra_in_m2(self):
         diag = generate([np.diag([1.0, 2.0]).astype(complex)])
         assert commutant(diag).dim == 2
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
+    def test_dim_is_invariant_under_scaling(self, s):
+        # the null-space bar is relative to the unit-norm generators
+        xs = [np.diag([1.0, 2.0, 3.0]).astype(complex)]
+        xs += [x for trial, (n, x) in enumerate(_real_adversarial_generators(1700))
+               if trial in (515, 541, 543, 568, 719, 819, 1691)]
+        for x in xs:
+            assert commutant([s * x]).dim == commutant([x]).dim
+        assert commutant([s * xs[0]]).dim == 3
 
     def test_antitone_and_idempotent_pairing(self):
         rng = np.random.default_rng(22)
@@ -353,8 +392,8 @@ def _direct_sum(blocks):
 )
 @pytest.mark.parametrize("sizes, dim", [((12, 4), 160), ((15, 1), 226)])
 def test_proper_subalgebra_past_half_of_m16(sizes, dim, variant):
-    # M_12 + M_4 and M_15 + C: the complement prefilter runs, but the span
-    # never reaches M_16
+    # M_12 + M_4 and M_15 + C: in the engine the complement prefilter runs,
+    # but the span never reaches M_16
     rng = np.random.default_rng(sum(sizes) + len(sizes))
     gens = [_direct_sum([_cgauss(rng, (s, s)) for s in sizes]) for _ in range(2)]
     if variant != "plain":
@@ -362,9 +401,11 @@ def test_proper_subalgebra_past_half_of_m16(sizes, dim, variant):
         scale = {"conjugated": 1.0, "conjugated_scaled_1e-6": 1e-6,
                  "conjugated_scaled_1e6": 1e6}[variant]
         gens = [scale * (u @ g @ u.conj().T) for g in gens]
-    basis = generate(gens)
-    assert basis.dim == dim
-    assert equal(basis, commutant(commutant(gens)))
+    # generate splits the sum into its blocks; the engine runs on it whole
+    double = commutant(commutant(gens))
+    for basis in (generate(gens), _engine(gens)):
+        assert basis.dim == dim
+        assert equal(basis, double)
 
 
 def _full_m16_generators():
@@ -509,16 +550,18 @@ def test_real_generators_match_complex_references():
     "sizes, dim", [((12, 4), 160), ((15, 1), 226), ((15, 2), 229), ((16, 2), 260)]
 )
 def test_real_proper_subalgebra_past_half_of_m_n(sizes, dim, variant):
-    # real direct sums at n = 16..18: past half of M_n the complement
-    # prefilter runs, on real candidates in complex arithmetic
+    # real direct sums at n = 16..18: past half of M_n the engine's
+    # complement prefilter runs, on real candidates in complex arithmetic
     rng = np.random.default_rng(sum(sizes) + 100)
     gens = [_direct_sum([rng.standard_normal((s, s)) for s in sizes]) for _ in range(2)]
     if variant == "orthogonal":
         o, _ = np.linalg.qr(rng.standard_normal((sum(sizes), sum(sizes))))
         gens = [o @ g @ o.T for g in gens]
-    basis = generate(gens)
-    assert basis.dim == dim
-    assert equal(basis, commutant(commutant(gens)))
+    # generate splits the sum into its blocks; the engine runs on it whole
+    double = commutant(commutant(gens))
+    for basis in (generate(gens), _engine(gens)):
+        assert basis.dim == dim
+        assert equal(basis, double)
 
 
 # --- scalar sets: their commutant is M_n, answered without a factorization -----
@@ -563,13 +606,15 @@ def test_scalar_set_commutant_needs_no_factorization(monkeypatch):
 @pytest.mark.parametrize("fraction", [0.4, 0.6])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_near_scalar_sets_on_both_sides_of_the_cut(n, fraction, monkeypatch):
-    # I + s h for two traceless h, scaled so that the Frobenius norm of the
-    # constraint stack, sqrt(sum over generators and adjoints of
-    # 2n ||s h||^2), is fraction * span_tol; the cut is at span_tol / 2
+    # I + s h for two traceless h. commutant scales each generator to unit
+    # Frobenius norm, here a division by sqrt(n) to rounding, and s is
+    # chosen so that the Frobenius norm of the constraint stack of the scaled
+    # generators, sqrt(sum over generators and adjoints of 2n ||s h||^2 / n),
+    # is fraction * span_tol; the cut is at span_tol / 2
     rng = np.random.default_rng([n, 40])
     hs = [_cgauss(rng, (n, n)) for _ in range(2)]
     hs = [h - np.trace(h) / n * np.eye(n) for h in hs]
-    frob = np.sqrt(4 * n * sum(np.vdot(h, h).real for h in hs))
+    frob = np.sqrt(4 * sum(np.vdot(h, h).real for h in hs))
     gens = [identity(n) + (fraction * DEFAULT_TOL.span_tol / frob) * h for h in hs]
     ref = reference_commutant(gens)
     ref2 = reference_commutant(ref)
@@ -710,49 +755,83 @@ def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
     assert peak <= rows + max(complement, basis.elements.nbytes) + 160 * 1024
 
 
-# --- the full-algebra certificate: a closure of vectors that proves A = M_n ----
+# --- the Wedderburn split: blocks by vector spin-up, the engine on the rest -----
+
+
+def _split(gens):
+    stack = np.array([as_matrix(g) for g in gens])
+    return star_algebra._wedderburn_split(stack, DEFAULT_TOL.span_tol)
 
 
 def _margins(gens):
-    return star_algebra._full_algebra_margins([as_matrix(g) for g in gens], DEFAULT_TOL.span_tol)
+    """(gap, worst) of the split's one block when it proves that the algebra
+    is M_n, else None."""
+    if not gens:
+        return None
+    split = _split(gens)
+    if len(split.blocks) == 1 and split.blocks[0].V.shape[1] == split.ambient_dim:
+        return split.blocks[0].gap, split.blocks[0].worst
+    return None
 
 
 def _unit_norm(gens):
     return [g / np.linalg.norm(g) for g in gens if np.linalg.norm(g) > 0]
 
 
-def _certificate_corpus():
-    for trial, (n, x) in enumerate(_adversarial_generators(2000)):
-        yield ("complex", trial), n, [x]
-    for trial, (n, x) in enumerate(_real_adversarial_generators(2000)):
-        yield ("real", trial), n, [x]
-    for trial, (n, gens) in enumerate(_mixed_pairs(300)):
-        yield ("mixed", trial), n, gens
+def _double_commutant(gens):
+    """G'' of the inputs scaled to unit Frobenius norm (zero inputs dropped)."""
+    return commutant(commutant(_unit_norm(gens) or gens))
+
+
+@functools.cache
+def _corpus():
+    """(key, n, gens, G'' of the unit-norm gens) for the 2000 complex and
+    2000 real adversarial generators, 1000 rank-one generators and 1000
+    mixed pairs."""
+    sets = [(("complex", t), n, [x]) for t, (n, x) in enumerate(_adversarial_generators(2000))]
+    sets += [(("real", t), n, [x]) for t, (n, x) in enumerate(_real_adversarial_generators(2000))]
+    sets += [(("rank_one", t), n, [x]) for t, (n, x) in enumerate(_rank_one_generators(1000))]
+    sets += [(("mixed", t), n, gens) for t, (n, gens) in enumerate(_mixed_pairs(1000))]
+    return [(key, n, gens, _double_commutant(gens)) for key, n, gens in sets]
 
 
 def test_certificate_makes_no_false_positive():
-    # a certified set is M_n by G'' of its unit-norm inputs, by the engine
-    # and by generate; the sets the engine over-counts are all declined
+    # a set the split proves to be M_n is M_n by G'' of its unit-norm
+    # inputs, by the engine and by generate
     certified, wrong = 0, []
-    for key, n, gens in _certificate_corpus():
+    for key, n, gens, double in _corpus():
         if _margins(gens) is None:
             continue
         certified += 1
-        g2 = commutant(commutant(_unit_norm(gens))).dim
-        dims = (g2, _engine(gens).dim, generate(gens).dim)
+        dims = (double.dim, _engine(gens).dim, generate(gens).dim)
         if dims != (n * n,) * 3:
             wrong.append((key, n, dims))
     assert wrong == []
-    assert certified >= 2900  # 2932 of the 4300 sets when this test was written
+    assert certified >= 3800  # 3829 of the 6000 sets when this test was written
 
 
 def test_certificate_decision_is_invariant_under_scaling():
     changed = [
         key
-        for key, n, gens in _certificate_corpus()
+        for key, n, gens, _ in _corpus()
         if len({_margins([s * g for g in gens]) is None for s in (1.0, 1e-9, 1e9)}) > 1
     ]
     assert changed == []
+
+
+def test_generate_equals_double_commutant_on_the_corpora(monkeypatch):
+    # the engine alone over-counts 38 of these sets; the split answers every
+    # one of them without it (all-zero generators are the scalars)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus set reached the closure engine")
+
+    monkeypatch.setattr(star_algebra, "_span_closure", refuse)
+    differ = []
+    for key, n, gens, double in _corpus():
+        basis = generate(gens)
+        if basis.dim != double.dim or not equal(basis, double):
+            differ.append((key, n, basis.dim, double.dim))
+    assert differ == []
 
 
 def _haar_sum(sizes, rng):
@@ -801,23 +880,45 @@ def _declined_sets():
 
 @pytest.mark.parametrize("name", sorted(_declined_sets()))
 def test_certificate_declines_proper_subalgebras(name):
+    # the split proves no proper subalgebra to be M_n, and its dim and span
+    # are those of G'' of the unit-norm inputs
     gens = _declined_sets()[name]
     assert _margins(gens) is None
     if gens:
         n = gens[0].shape[0]
-        assert generate(gens).dim == _engine(gens).dim < n * n
+        basis, double = generate(gens), _double_commutant(gens)
+        assert basis.dim == double.dim < n * n
+        assert equal(basis, double)
+
+
+def _best_letter_gap(gens):
+    """The largest eigen-gap over the Hermitian and anti-Hermitian parts of
+    the unit-norm inputs, computed here from eigvalsh."""
+    best = 0.0
+    for g in _unit_norm(gens):
+        for part in ((g + g.conj().T) / 2, (g - g.conj().T) / 2j):
+            w = np.linalg.eigvalsh(part)
+            steps = np.diff(w)
+            gaps = np.minimum(np.r_[np.inf, steps], np.r_[steps, np.inf])
+            best = max(best, float(gaps.max()))
+    return best
 
 
 def test_certificate_cut_sits_at_its_bar():
-    # the pair generates M_6 on both sides of the cut; the side whose best
-    # eigen-gap sits just below the bar is declined, the other certified
+    # the pair generates M_6 on both sides of the cut. Above it, a letter's
+    # part supplies v with its gap just past the bar; below it, no letter
+    # part clears the bar and v comes from the fixed mix of all parts
     bar = star_algebra._CERTIFICATE_FLOOR * DEFAULT_TOL.span_tol
     below = _hermitian_pair_with_gap(0.99 * bar, np.random.default_rng(19))
     above = _hermitian_pair_with_gap(1.01 * bar, np.random.default_rng(19))
-    assert _margins(below) is None
+    assert 0.98 * bar < _best_letter_gap(below) < bar < _best_letter_gap(above) < 1.02 * bar
     gap, worst = _margins(above)
     assert bar < gap < 1.02 * bar and worst > bar
-    assert generate(below).dim == _engine(below).dim == _engine(above).dim == 36
+    gap, worst = _margins(below)
+    assert gap > 1.02 * bar and worst > bar
+    for gens in (below, above):
+        basis = generate(gens)
+        assert basis.dim == _double_commutant(gens).dim == 36
 
 
 def _paper_generators():
@@ -847,6 +948,184 @@ def test_generate_answers_certified_sets_without_the_engine(monkeypatch):
     x1, x2 = shift_pair(standard_units(12))
     basis = generate([x1, x2])
     assert basis.elements.tobytes() == full_matrix_basis(12).elements.tobytes()
+
+
+def _round_trip_units_set():
+    """The inputs and units of a k = 12 round trip: 2 + 144 letters."""
+    tup = acceptance.sparse_tuples(12, 1, 0)[0]
+    return list(tup.elements) + standard_units(12).unit_list()
+
+
+def test_certified_sets_take_the_top_level_path_alone(monkeypatch):
+    # when the letters' own parts supply v and its spin-up reaches C^n, the
+    # split neither compresses nor builds a second stack of letters
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified set was compressed")
+
+    monkeypatch.setattr(star_algebra, "_complement", refuse)
+    monkeypatch.setattr(star_algebra, "_mix_weights", refuse)
+    t1, t2, _ = hyperfinite_pair([3, 3, 3])
+    for gens in ([t1, t2], list(shift_pair(standard_units(12))), _round_trip_units_set()):
+        n = gens[0].shape[0]
+        assert generate(gens).dim == n * n
+
+
+def test_only_multiplicity_reaches_the_engine(monkeypatch):
+    sets = _declined_sets()
+    engine, calls = star_algebra._span_closure, []
+
+    def counted(gens, n, tol, floor=0.0):
+        calls.append(n)
+        return engine(gens, n, tol, floor)
+
+    monkeypatch.setattr(star_algebra, "_span_closure", counted)
+    for name in sets:
+        if name != "m3_tensor_i2":
+            generate(sets[name], ambient_dim=3 if name == "empty" else None)
+    assert calls == []
+    generate(sets["m3_tensor_i2"])
+    assert calls == [6]
+
+
+def _hidden(gens, rng):
+    u = random_unitary(gens[0].shape[0], rng)
+    return [u @ g @ u.conj().T for g in gens]
+
+
+def _hidden_sums():
+    """name -> (Haar-hidden generators, sizes of the blocks the split finds,
+    size of the engine's remainder or None)."""
+    rng = np.random.default_rng(23)
+    a = [_cgauss(rng, (3, 3)) for _ in range(2)]
+    w = random_unitary(3, rng)
+    units = amplified_units(4, 3).unit_list()
+    z2, z12 = np.zeros((2, 2)), np.zeros((12, 12))
+    return {
+        "sum_12_4_6": (_haar_sum((12, 4, 6), rng), [4, 6, 12], None),
+        "sum_15_2_1": (_haar_sum((15, 2, 1), rng), [2, 15], 1),  # C: a scalar remainder
+        "sum_6_6_6": (_haar_sum((6, 6, 6), rng), [6, 6, 6], None),
+        "a_a_b": (_hidden([_direct_sum([x, x, _cgauss(rng, (2, 2))]) for x in a], rng), [2], 6),
+        "a_waw": (_hidden([_direct_sum([x, w @ x @ w.conj().T]) for x in a], rng), [], 6),
+        "a_waw_c": (
+            _hidden([_direct_sum([x, w @ x @ w.conj().T, _cgauss(rng, (4, 4))]) for x in a], rng),
+            [4],
+            6,
+        ),
+        "m3_tensor_i2_m4": (
+            _hidden([_direct_sum([np.kron(x, np.eye(2)), _cgauss(rng, (4, 4))]) for x in a], rng),
+            [4],
+            6,
+        ),
+        "amplified_units_m2": (
+            _hidden([_direct_sum([e, z2]) for e in units]
+                    + [_direct_sum([z12, _cgauss(rng, (2, 2))])], rng),
+            [2],
+            12,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hidden_sums()))
+def test_hidden_direct_sums_split_into_their_blocks(name):
+    gens, sizes, rest = _hidden_sums()[name]
+    split = _split(gens)
+    assert sorted(b.V.shape[1] for b in split.blocks) == sizes
+    assert (None if split.remainder is None else split.remainder.ambient_dim) == rest
+    for b in split.blocks:  # each block's subspace reduces every generator
+        P = b.V @ b.V.conj().T
+        assert max(np.linalg.norm(P @ g - g @ P) for g in gens) < 1e-10 * max(
+            np.linalg.norm(g) for g in gens
+        )
+    basis, double = generate(gens), _double_commutant(gens)
+    assert basis.dim == double.dim
+    assert equal(basis, double)
+
+
+@pytest.mark.xfail(strict=True, reason="the closure engine over-counts Haar-hidden "
+                   "amplified units, which have no multiplicity-free block to split off")
+def test_hidden_amplified_units_alone():
+    units = _hidden(amplified_units(4, 3).unit_list(), np.random.default_rng(25))
+    assert generate(units).dim == _double_commutant(units).dim == 16
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_near_equivalent_ladder_matches_double_commutant(eps, monkeypatch):
+    # a (+) (a + eps b) for a pair: two inequivalent blocks, M_3 (+) M_3.
+    # Their eigenvalues pair up about eps apart, so the split takes them
+    # apart at 1e-3 and hands them to the engine at 1e-7
+    rng = np.random.default_rng(24)
+    gens = [_direct_sum([a, a + eps * b]) for a, b in
+            ((_cgauss(rng, (3, 3)), _cgauss(rng, (3, 3))) for _ in range(2))]
+    engine, calls = star_algebra._span_closure, []
+
+    def counted(gens, n, tol, floor=0.0):
+        calls.append(n)
+        return engine(gens, n, tol, floor)
+
+    monkeypatch.setattr(star_algebra, "_span_closure", counted)
+    basis, double = generate(gens), _double_commutant(gens)
+    assert basis.dim == double.dim == 18
+    assert equal(basis, double)
+    if eps != 1e-5:  # at 1e-5 the route depends on the draw
+        assert calls == ([] if eps == 1e-3 else [6])
+
+
+@pytest.mark.xfail(strict=True, reason="the closure engine over-counts near-equivalent "
+                   "blocks once they are Haar-hidden")
+def test_hidden_near_equivalent_blocks_at_1e_7():
+    rng = np.random.default_rng(24)
+    gens = [_direct_sum([a, a + 1e-7 * b]) for a, b in
+            ((_cgauss(rng, (3, 3)), _cgauss(rng, (3, 3))) for _ in range(2))]
+    gens = _hidden(gens, rng)
+    assert generate(gens).dim == _double_commutant(gens).dim == 18
+
+
+def _weakly_coupled(delta, rng, exact=None):
+    """diag(0, 1, 2, 3) / sqrt(14) and a (+) d + delta e: two blocks that e
+    couples at delta, followed by an exact block when exact is given."""
+    g1 = np.diag([0.0, 1.0, 2.0, 3.0]) / np.sqrt(14)
+    g2 = _direct_sum([_cgauss(rng, (2, 2)), _cgauss(rng, (2, 2))]) + delta * _cgauss(rng, (4, 4))
+    if exact is None:
+        return [g1.astype(complex), g2]
+    return [_direct_sum([g1, exact[0]]), _direct_sum([g2, exact[1]])]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-7])
+@pytest.mark.parametrize("where", ["top", "remainder"])
+def test_weakly_coupled_blocks_are_not_split(delta, where):
+    # the spin-up from a vector of one block stalls, since the coupling is
+    # under its bar, but the coupling is past span_tol: the 4 x 4 part
+    # generates M_4, not M_2 (+) M_2, and every generator stays in the algebra
+    rng = np.random.default_rng(28)
+    if where == "top":
+        gens, dim = _weakly_coupled(delta, rng), 16
+    else:
+        # an uncoupled M_4 block, whose widely spaced eigenvalues supply the
+        # first vector, splits off first; the engine closes the coupled rest
+        exact = [np.diag([10.0, 30.0, 50.0, 70.0]), _cgauss(rng, (4, 4))]
+        gens, dim = _weakly_coupled(delta, rng, exact), 32
+        gens = _hidden(gens, rng)
+        assert _split(gens).blocks
+    basis, double = generate(gens), _double_commutant(gens)
+    assert basis.dim == double.dim == dim
+    assert equal(basis, double)
+    assert all(contains(basis, g)[0] for g in gens)
+
+
+def test_split_basis_is_lazy_and_tau_orthonormal(monkeypatch):
+    # sqrt(n) V e_ab V* per block and the lifted remainder: an algebra basis
+    # of the right span, built only when its elements are read
+    gens = _hidden_sums()["a_a_b"][0]
+    basis = generate(gens)
+    assert isinstance(basis, star_algebra._SplitBasis)
+    assert "elements" not in vars(basis)
+    assert basis.dim == 13
+    res = basis_invariant_residuals(basis)
+    assert all(v < 1e-8 for v in res.values()), res
+    assert basis.elements is basis.elements
+    x1, x2 = _haar_sum((16, 16, 16), np.random.default_rng(26))
+    # the elements would be 3 * 16^2 * 48^2 complex entries, 28 MiB
+    assert traced_peak(lambda: generate([x1, x2])) < 4 << 20
 
 
 # --- the span byte budget: refused by the estimate, before any allocation ------
