@@ -43,9 +43,6 @@ class AlgebraBasis:
 
 
 _RENORM_GATE = 1e-13
-# below N = n^2 = 256 a complete QR costs more than the complement prefilter
-# saves over the rest of the closure
-_COMPLEMENT_MIN_N = 256
 # rows of commutator blocks per QR fold in commutant (at least one block):
 # whole blocks of n^2 rows, enough of them at small n that the QR calls stay few
 _COMMUTANT_SLAB_ROWS = 400
@@ -80,29 +77,20 @@ def _complement(rows: np.ndarray) -> np.ndarray:
 class _SpanBuilder:
     """Growing orthonormal span with the relative-residual admission rule.
 
-    A candidate joins the basis iff its residual after projection exceeds
-    span_tol times the candidate's original Frobenius norm, or times floor
-    when that is larger (floor 0 by default: a purely relative rule). A
-    block is projected off the span held at entry with two classical Gram-Schmidt
-    passes (CGS2); each survivor is then orthogonalized, twice, against the
-    rows admitted earlier in the same block and tested on its own. The rows
-    a block admits get one more pass off the entry span, and go through the
-    same admission once more when that pass moved a row norm off 1.
+    The span is held as orthonormal rows alone. A candidate joins them iff
+    its residual after projection exceeds span_tol times the candidate's
+    original Frobenius norm, or times floor when that is larger (floor 0 by
+    default: a purely relative rule; floor 1 for unit-norm letters, where
+    products that vanish only up to rounding must stay out).
 
-    Most candidates lie in the span, so the first pass serves as a prefilter:
-    only rows whose residual passes the test get the second. Once the span
-    holds more than half of M_n (n >= 16), the prefilter measures the
-    residual in the orthogonal complement instead, which is the smaller
-    side: an orthonormal basis W of the complement, built by a complete QR,
-    less the W-coordinates Y of the rows admitted since. Survivors then get
-    both passes off the span as before, so the admission decisions and the
-    rows admitted are those of the span-side prefilter.
-
-    The projections multiply by the conjugates of the rows and of W, which
-    are kept rather than formed on every call: _rows_conj[:dim] equals
-    _rows[:dim].conj() whenever it is read, so every write to the rows (an
-    admission, the end pass) writes the mirror too, and _W_conj is formed
-    each time W is built or shrunk.
+    absorb takes a whole block of candidates (blocked CGS2): the block is
+    projected off the span held at entry with one classical Gram-Schmidt
+    pass, which serves as a prefilter, since most candidates lie in the span;
+    only rows whose residual passes the test get the second pass. Each
+    survivor is then orthogonalized, twice, against the rows admitted earlier
+    in the same block and tested on its own. The rows a block admits get one
+    more pass off the entry span, and go through the same admission once more
+    (the readmission pass) when that pass moved a row norm off 1.
     """
 
     def __init__(self, n: int, tol: float, floor: float = 0.0):
@@ -111,39 +99,26 @@ class _SpanBuilder:
         self.tol = tol
         self.floor = floor
         self.dim = 0
-        self._set_rows(np.zeros((64, self.N), dtype=np.complex128))
-        self._W = None  # complement basis, (r, N)
-        self._W_conj = None
-        self._Y = None  # W-coordinates of the rows admitted since W was built
-
-    def _set_rows(self, rows: np.ndarray):
-        self._rows = rows
-        self._rows_conj = rows.conj()
-
-    def _sync_conj(self, lo: int, hi: int):
-        """Rewrite the mirror of rows lo..hi after they changed."""
-        np.conjugate(self._rows[lo:hi], out=self._rows_conj[lo:hi])
-
-    def _set_complement(self, W: np.ndarray):
-        self._W = W
-        self._W_conj = W.conj()
-        self._Y = np.zeros((0, W.shape[0]), dtype=np.complex128)
+        self._rows = np.zeros((64, self.N), dtype=np.complex128)
 
     def _grow(self):
         if self.dim == self._rows.shape[0]:
             cap = min(max(2 * self.dim, 64), self.N)
             rows = np.zeros((cap, self.N), dtype=np.complex128)
             rows[: self.dim] = self._rows[: self.dim]
-            self._set_rows(rows)
+            self._rows = rows
 
     def q(self) -> np.ndarray:
         return self._rows[: self.dim]
 
     def _project_off(self, C: np.ndarray, dim: int) -> np.ndarray:
-        """C minus its projection onto the first dim rows of the span."""
+        """C minus its projection onto the first dim rows of the span. The
+        coefficients C Q* are formed as conj(conj(C) Q^T): the candidates
+        are conjugated, not the span, which usually has more rows."""
         if not dim:
             return C
-        return C - (C @ self._rows_conj[:dim].T) @ self._rows[:dim]
+        Q = self._rows[:dim]
+        return C - np.conj(C.conj() @ Q.T) @ Q
 
     def _admit(self, R: np.ndarray, bars: np.ndarray, start: int):
         """Admit the rows of R, already orthogonal to the first start rows,
@@ -158,7 +133,6 @@ class _SpanBuilder:
             if r > bar:
                 self._grow()
                 self._rows[self.dim] = v / r
-                self._sync_conj(self.dim, self.dim + 1)
                 self.dim += 1
                 if self.dim == self.N:
                     break
@@ -176,51 +150,29 @@ class _SpanBuilder:
         start = self.dim
         C = np.ascontiguousarray(cands, dtype=np.complex128)
         bars = self.tol * np.maximum(np.linalg.norm(C, axis=1), self.floor)
-        if self._W is None and self.N >= _COMPLEMENT_MIN_N and 2 * start > self.N:
-            self._set_complement(_complement(self.q()))
-        if self._W is None:
-            R = self._project_off(C, start)
-            survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
-            if not survivors.size:
-                return 0
-            R = R[survivors]
-        else:
-            Z = C @ self._W_conj.T
-            if len(self._Y):
-                Z -= (Z @ self._Y.conj().T) @ self._Y
-            survivors = np.nonzero(np.linalg.norm(Z, axis=1) > bars)[0]
-            if not survivors.size:
-                return 0
-            R = self._project_off(C[survivors], start)
-        self._admit(self._project_off(R, start), bars[survivors], start)
+        R = self._project_off(C, start)
+        survivors = np.nonzero(np.linalg.norm(R, axis=1) > bars)[0]
+        if not survivors.size:
+            return 0
+        self._admit(self._project_off(R[survivors], start), bars[survivors], start)
         if start and self.dim > start:
             # R is orthogonal to the entry span only to eps times its norm; a
             # row that then cancelled against this call's rows was scaled up by
             # the cancellation factor, so the new rows get one more pass
             new = self._rows[start : self.dim]
             new[:] = self._project_off(new, start)
-            self._sync_conj(start, self.dim)
             # removing an entry-span component eps moves a row norm off 1 by
             # eps^2/2 and the block's inner products by as much; past
             # _RENORM_GATE, the block may have lost orthonormality or even
             # independence, so it goes through admission once more
             if np.abs(np.linalg.norm(new, axis=1) - 1.0).max() > _RENORM_GATE:
                 self._readmit(start)
-        if self._W is not None and self.dim > start:
-            new_y = self._rows[start : self.dim] @ self._W_conj.T
-            self._Y = np.vstack([self._Y, new_y])
-            if 2 * len(self._Y) > len(self._W):
-                # shrink W to the complement of the new rows within W
-                self._set_complement(_complement(self._Y) @ self._W)
         return self.dim - start
 
     def tau_orthonormal(self) -> np.ndarray:
         """The rows as tau-orthonormal complex128 matrices (dim, n, n),
-        scaled straight into the output. The complement basis is released
-        first, so it is not held alongside the output (a later absorb
-        builds it again)."""
+        scaled straight into the output."""
         n = self.n
-        self._W = self._W_conj = self._Y = None
         out = np.empty((self.dim, n, n), dtype=np.complex128)
         np.multiply(self.q().reshape(self.dim, n, n), math.sqrt(n), out=out)
         return out

@@ -280,12 +280,16 @@ class TestBlockedAbsorb:
     @pytest.mark.parametrize("seed", range(3))
     def test_same_admissions_and_span(self, case, seed):
         span_tol = 1e-9 if case.startswith("near") else 1e-12
-        n = 5
-        N = n * n
-        blocks, base = _candidate_blocks(np.random.default_rng([seed, 7]), N)
-        for start in ([], [base]):
-            fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(N, 1e-8)
-            for block in start + [blocks[case]]:
+        blocks, base = _candidate_blocks(np.random.default_rng([seed, 7]), 25)
+        runs = [(5, [blocks[case]]), (5, [base, blocks[case]])]
+        # past half of M_16: an entry block of base and N / 2 + 8 random rows
+        rng = np.random.default_rng([seed, 16])
+        blocks, base = _candidate_blocks(rng, 256)
+        entry = np.vstack([base, _cgauss(rng, (256 // 2 + 8, 256))])
+        runs.append((16, [entry, blocks[case]]))
+        for n, run in runs:
+            fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(n * n, 1e-8)
+            for block in run:
                 assert fast.absorb(block) == ref.absorb(block)
                 assert fast.dim == ref.dim
             Q = fast.q()
@@ -294,46 +298,10 @@ class TestBlockedAbsorb:
             proj_ref = ref.rows.conj().T @ ref.rows
             assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
 
-
-def _complement_gap(builder):
-    """Distance between the complement the prefilter measures in (W less
-    the rows admitted since W was built) and that of the span."""
-    Q, W = builder.q(), builder._W
-    V = builder._Y @ W
-    span_side = np.eye(builder.N) - Q.conj().T @ Q
-    return np.linalg.norm(span_side - (W.conj().T @ W - V.conj().T @ V))
-
-
-class TestComplementPrefilter:
-    """Past half of M_n at n = 16, absorb prefilters in the complement of the
-    span; it must admit what the per-row reference builder admits."""
-
-    @pytest.mark.parametrize("case", CANDIDATE_CASES)
-    @pytest.mark.parametrize("seed", range(2))
-    def test_same_admissions_and_span(self, case, seed):
-        span_tol = 1e-9 if case.startswith("near") else 1e-12
-        n = 16
-        N = n * n
-        rng = np.random.default_rng([seed, 16])
-        blocks, base = _candidate_blocks(rng, N)
-        entry = np.vstack([base, _cgauss(rng, (N // 2 + 8, N))])
-        fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(N, 1e-8)
-        for block in (entry, blocks[case]):
-            assert fast.absorb(block) == ref.absorb(block)
-            assert fast.dim == ref.dim
-        assert fast._W is not None
-        assert _complement_gap(fast) <= 1e-12
-        Q = fast.q()
-        assert np.linalg.norm(Q @ Q.conj().T - np.eye(fast.dim)) <= 1e-12
-        proj_fast = Q.conj().T @ Q
-        proj_ref = ref.rows.conj().T @ ref.rows
-        assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
-
-    def test_coordinates_follow_the_readmission_pass(self, monkeypatch):
+    def test_readmission_pass_past_half_of_m16(self, monkeypatch):
         # near duplicates 1e-10 apart under span_tol 1e-12 cancel by 1e10
         # within the block, so the end pass sends the block through admission
-        # again; the next block admits past half of the complement, which
-        # shrinks W
+        # again; later blocks fill the span up to all of M_16
         n, tol = 16, 1e-12
         N = n * n
         rng = np.random.default_rng(16)
@@ -348,11 +316,8 @@ class TestComplementPrefilter:
         calls = []
 
         def spy(start):
-            calls.append(fast._W is not None)
+            calls.append(start)
             return readmit(start)
-
-        def span_side(C, dim):
-            raise AssertionError("an in-span candidate passed the prefilter")
 
         fast, ref = _SpanBuilder(n, tol), ReferenceSpan(N, tol)
         assert fast.absorb(entry) == ref.absorb(entry)
@@ -361,17 +326,10 @@ class TestComplementPrefilter:
         for i, block in enumerate(blocks):
             assert fast.absorb(block) == ref.absorb(block)
             assert fast.dim == ref.dim
-            assert _complement_gap(fast) <= 1e-12
-            assert len(fast._W) - len(fast._Y) == N - fast.dim
             if i == 0:
-                assert calls == [True]  # the readmission ran with W in place
-            if i == 1:
-                assert len(fast._Y) == 0  # W shrank
-            # combinations of the span, the rows since W included, stop in
-            # the complement and never reach the span-side passes
-            fast._project_off = span_side
+                assert calls == [N // 2 + 12]  # the readmission ran on this block
+            # combinations of the span admit nothing
             assert fast.absorb(_cgauss(rng, (8, fast.dim)) @ fast.q()) == 0
-            del fast._project_off
         assert fast.dim == N
         Q = fast.q()
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(N)) <= 1e-12
@@ -392,8 +350,8 @@ def _direct_sum(blocks):
 )
 @pytest.mark.parametrize("sizes, dim", [((12, 4), 160), ((15, 1), 226)])
 def test_proper_subalgebra_past_half_of_m16(sizes, dim, variant):
-    # M_12 + M_4 and M_15 + C: in the engine the complement prefilter runs,
-    # but the span never reaches M_16
+    # M_12 + M_4 and M_15 + C: the engine's span passes half of M_16 but
+    # never reaches all of it
     rng = np.random.default_rng(sum(sizes) + len(sizes))
     gens = [_direct_sum([_cgauss(rng, (s, s)) for s in sizes]) for _ in range(2)]
     if variant != "plain":
@@ -550,8 +508,8 @@ def test_real_generators_match_complex_references():
     "sizes, dim", [((12, 4), 160), ((15, 1), 226), ((15, 2), 229), ((16, 2), 260)]
 )
 def test_real_proper_subalgebra_past_half_of_m_n(sizes, dim, variant):
-    # real direct sums at n = 16..18: past half of M_n the engine's
-    # complement prefilter runs, on real candidates in complex arithmetic
+    # real direct sums at n = 16..18: the engine's span passes half of M_n,
+    # on real candidates in complex arithmetic
     rng = np.random.default_rng(sum(sizes) + 100)
     gens = [_direct_sum([rng.standard_normal((s, s)) for s in sizes]) for _ in range(2)]
     if variant == "orthogonal":
@@ -630,107 +588,14 @@ def test_near_scalar_sets_on_both_sides_of_the_cut(n, fraction, monkeypatch):
     assert (c.dim, commutant(c).dim) == (ref.dim, ref2.dim) == (n * n, 1)
 
 
-# --- the builder's conjugate mirror and compact complement -------------------------
-
-
-def _mirror_is_exact(builder):
-    d = builder.dim
-    return builder._rows_conj[:d].tobytes() == builder._rows[:d].conj().tobytes()
-
-
-def _mirror_case(case, rng):
-    """(n, span_tol, blocks) whose last block makes the end pass change
-    bits, runs the readmission pass with W in place, or grows the rows."""
-    if case == "end_pass":
-        n = 5
-        return n, 1e-8, [_cgauss(rng, (8, n * n)), _cgauss(rng, (6, n * n))]
-    if case == "readmission":
-        # the near-duplicate blocks of test_coordinates_follow_the_readmission_pass
-        n = 16
-        N = n * n
-        a = _cgauss(rng, (4, N))
-        entry = _cgauss(rng, (N // 2 + 12, N))
-        return n, 1e-12, [entry, np.vstack([a, a + 1e-10 * _cgauss(rng, (4, N))])]
-    n = 9
-    return n, 1e-8, [_cgauss(rng, (60, n * n)), _cgauss(rng, (10, n * n))]
-
-
-@pytest.mark.parametrize("case", ["end_pass", "readmission", "grow"])
-def test_conjugate_mirror_follows_every_write(case, monkeypatch):
-    n, tol, blocks = _mirror_case(case, np.random.default_rng(16))
-    fast = _SpanBuilder(n, tol)
-    events = []
-    project_off, readmit, grow = fast._project_off, fast._readmit, fast._grow
-
-    def spy_project_off(C, dim):
-        out = project_off(C, dim)
-        if np.shares_memory(C, fast._rows):  # the end pass
-            events.append(("end_pass", out.tobytes() != C.tobytes()))
-        return out
-
-    def spy_readmit(start):
-        events.append(("readmission", fast._W is not None))
-        return readmit(start)
-
-    def spy_grow():
-        if fast.dim == fast._rows.shape[0]:
-            events.append(("grow", True))
-        return grow()
-
-    monkeypatch.setattr(fast, "_project_off", spy_project_off)
-    monkeypatch.setattr(fast, "_readmit", spy_readmit)
-    monkeypatch.setattr(fast, "_grow", spy_grow)
-    for block in blocks:
-        events.clear()
-        assert fast.absorb(block) > 0
-        assert _mirror_is_exact(fast)
-    assert (case, True) in events
-    if case == "end_pass":
-        assert not any(name == "readmission" for name, _ in events)
-
-
-@pytest.mark.parametrize("name", ["shift_pair", "fused"])
-def test_conjugate_mirror_gives_the_bases_of_fresh_conjugation(name, monkeypatch):
-    gens = _full_m16_generators()[name]
-    kept = _engine(gens).elements
-    # every read of a conjugate forms it afresh; writes to the mirror are dropped
-    fresh_rows = property(lambda self: self._rows.conj(), lambda self, v: None)
-    fresh_W = property(
-        lambda self: None if self._W is None else self._W.conj(), lambda self, v: None
-    )
-    monkeypatch.setattr(_SpanBuilder, "_rows_conj", fresh_rows, raising=False)
-    monkeypatch.setattr(_SpanBuilder, "_W_conj", fresh_W, raising=False)
-    fresh = _engine(gens).elements
-    assert kept.shape == (256, 16, 16)
-    assert kept.tobytes() == fresh.tobytes()
-
-
-def test_real_complement_owns_only_its_rows():
-    # real candidates: W and its mirror are complex128 arrays of their own,
-    # not views into the complete QR factor
-    n = 16
-    N = n * n
-    rng = np.random.default_rng(17)
-    builder = _SpanBuilder(n, 1e-8)
-    builder.absorb(rng.standard_normal((N // 2 + 8, N)))
-    builder.absorb(rng.standard_normal((4, N)))
-    W = builder._W
-    assert W.shape == (N - (N // 2 + 8), N) and W.dtype == np.complex128
-    assert np.array_equal(builder._W_conj, W.conj())
-    for held in (W, builder._W_conj):
-        root = held
-        while root.base is not None:
-            root = root.base
-        assert root.nbytes == held.nbytes
+# --- the builder's memory at the end of a closure -----------------------------
 
 
 @pytest.mark.parametrize("case", ["tower_3_3_3", "sum_12_4"])
 def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
-    # once the closure ends, only the rows and their conjugate mirror (and
-    # the copies of the inputs, under 100 KiB here) are left beside the
-    # output, written in place: the complement basis (W, its mirror and Y)
-    # is released before the output is built, and no copy of the output and
-    # no product block is made
+    # once the closure ends, only the rows (and the copies of the inputs,
+    # under 100 KiB here) are left beside the output, written in place: no
+    # copy of the rows or of the output and no product block is made
     if case == "tower_3_3_3":
         x1, x2, _ = hyperfinite_pair([3, 3, 3])
         gens = [x1, x2]
@@ -741,18 +606,13 @@ def test_real_closure_output_is_built_beside_the_rows_alone(case, monkeypatch):
 
     def end_of_closure(builder):
         close(builder)
-        complement = (builder._W, builder._W_conj, builder._Y)
-        held.append((
-            builder._rows.nbytes + builder._rows_conj.nbytes,
-            sum(a.nbytes for a in complement if a is not None),
-        ))
+        held.append(builder._rows.nbytes)
         tracemalloc.reset_peak()
 
     monkeypatch.setattr(star_algebra, "_close", end_of_closure)
     basis = _engine(gens)
     peak = traced_peak(lambda: _engine(gens))
-    rows, complement = held[-1]
-    assert peak <= rows + max(complement, basis.elements.nbytes) + 160 * 1024
+    assert peak <= held[-1] + basis.elements.nbytes + 160 * 1024
 
 
 # --- the Wedderburn split: blocks by vector spin-up, the engine on the rest -----
