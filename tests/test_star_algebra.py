@@ -273,6 +273,20 @@ CANDIDATE_CASES = [
 ]
 
 
+def _check_against_reference(n, run, span_tol):
+    """Absorb the blocks of run into the blocked builder and the per-row
+    reference: same admissions, same dim, orthonormal rows, same span."""
+    fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(n * n, 1e-8)
+    for block in run:
+        assert fast.absorb(block) == ref.absorb(block)
+        assert fast.dim == ref.dim
+    Q = fast.q()
+    assert np.linalg.norm(Q @ Q.conj().T - np.eye(fast.dim)) <= 1e-12
+    proj_fast = Q.conj().T @ Q
+    proj_ref = ref.rows.conj().T @ ref.rows
+    assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
+
+
 class TestBlockedAbsorb:
     """The blocked CGS2 absorb against the per-row reference builder."""
 
@@ -280,23 +294,11 @@ class TestBlockedAbsorb:
     @pytest.mark.parametrize("seed", range(3))
     def test_same_admissions_and_span(self, case, seed):
         span_tol = 1e-9 if case.startswith("near") else 1e-12
-        blocks, base = _candidate_blocks(np.random.default_rng([seed, 7]), 25)
-        runs = [(5, [blocks[case]]), (5, [base, blocks[case]])]
-        # past half of M_16: an entry block of base and N / 2 + 8 random rows
-        rng = np.random.default_rng([seed, 16])
-        blocks, base = _candidate_blocks(rng, 256)
-        entry = np.vstack([base, _cgauss(rng, (256 // 2 + 8, 256))])
-        runs.append((16, [entry, blocks[case]]))
-        for n, run in runs:
-            fast, ref = _SpanBuilder(n, 1e-8), ReferenceSpan(n * n, 1e-8)
-            for block in run:
-                assert fast.absorb(block) == ref.absorb(block)
-                assert fast.dim == ref.dim
-            Q = fast.q()
-            assert np.linalg.norm(Q @ Q.conj().T - np.eye(fast.dim)) <= 1e-12
-            proj_fast = Q.conj().T @ Q
-            proj_ref = ref.rows.conj().T @ ref.rows
-            assert np.linalg.norm(proj_fast - proj_ref) <= span_tol
+        n = 5
+        N = n * n
+        blocks, base = _candidate_blocks(np.random.default_rng([seed, 7]), N)
+        for start in ([], [base]):
+            _check_against_reference(n, start + [blocks[case]], span_tol)
 
     def test_readmission_pass_past_half_of_m16(self, monkeypatch):
         # near duplicates 1e-10 apart under span_tol 1e-12 cancel by 1e10
@@ -333,6 +335,24 @@ class TestBlockedAbsorb:
         assert fast.dim == N
         Q = fast.q()
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(N)) <= 1e-12
+
+
+class TestComplementPrefilter:
+    """Past half of M_n at n = 16, where absorb once prefiltered in the
+    complement of the span; it must admit what the per-row reference
+    builder admits."""
+
+    @pytest.mark.parametrize("case", CANDIDATE_CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_same_admissions_and_span(self, case, seed):
+        span_tol = 1e-9 if case.startswith("near") else 1e-12
+        n = 16
+        N = n * n
+        rng = np.random.default_rng([seed, 16])
+        blocks, base = _candidate_blocks(rng, N)
+        # an entry block of base and N / 2 + 8 random rows
+        entry = np.vstack([base, _cgauss(rng, (N // 2 + 8, N))])
+        _check_against_reference(n, [entry, blocks[case]], span_tol)
 
 
 def _direct_sum(blocks):
