@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from .errors import (
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
+    check_array_budget,
     check_dimension_cap,
     load_matrix,
     matrix_from_doc,
@@ -189,9 +191,9 @@ def _demo_shift(args, cfg) -> tuple[dict, dict]:
 def _demo_hyperfinite(args, cfg) -> tuple[dict, dict]:
     dims = sparsity.check_tower_dims(_int_list(args.dims, "--dims"))
     n = int(np.prod(dims))
-    # generate would refuse an n past the span budget: refuse it before the
+    # generate would refuse an n past the array budget: refuse it before the
     # tower's n x n levels are built
-    star_algebra._check_span_budget(n)
+    check_array_budget(n**4, f"ambient dimension {n}")
     x1, x2, tower = sparsity.hyperfinite_pair(dims)
     algebra = star_algebra.generate([x1, x2], cfg)
     fam = sparsity.family_from_units(tower[0], cfg)
@@ -217,9 +219,12 @@ def _demo_hyperfinite(args, cfg) -> tuple[dict, dict]:
 
 def _demo_nested_units(args, cfg) -> tuple[dict, dict]:
     sizes = _int_list(args.sizes, "--sizes")
+    # nested_product would refuse a composite past the array budget: refuse
+    # it before the chain's levels are built
+    n = math.prod(sizes)
+    check_array_budget(n**4, f"a size-{n} unit system in M_{n}")
     nested = matrix_units.nested_product(matrix_units.corner_chain(sizes), cfg)
     rep = matrix_units.verify(nested, cfg)
-    n = nested.ambient_dim
     diag = nested.diagonal_projections()
     sum_residual = float(np.linalg.norm(diag.sum(axis=0) - np.eye(n)))
     doc = {

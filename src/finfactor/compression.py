@@ -112,8 +112,12 @@ def cut_and_paste(
     tau(S(q)) <= 2c + 2/k exactly, and {q} + units generates the same algebra
     as the inputs + units.
     """
+    return _cut_and_paste(xs, sys, family_from_units(sys, cfg), cfg)
+
+
+def _cut_and_paste(xs, sys, fam, cfg) -> CutPasteResult:
+    """cut_and_paste with the projection family of sys already built."""
     tup = xs if isinstance(xs, GeneratorTuple) else GeneratorTuple.of(xs)
-    fam = family_from_units(sys, cfg)
     k, n = sys.k, sys.ambient_dim
     units = sys.units
 
@@ -234,8 +238,12 @@ def single_generator_pair(
     e_ij = e_i1 e_j1*. The worst Frobenius residual of these words must stay
     within structural_tol.
     """
-    q = as_matrix(q)
-    fam = family_from_units(sys, cfg)
+    return _single_generator_pair(as_matrix(q), sys, family_from_units(sys, cfg), cfg)
+
+
+def _single_generator_pair(q, sys, fam, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """single_generator_pair on a checked q, with the projection family of
+    sys already built."""
     k = sys.k
     mask = support_mask(q, fam, cfg)
     m = int(mask.sum())
@@ -324,11 +332,14 @@ def pipeline(
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> PipelineReport:
     """Compress, synthesize the two-element generating pair, and fuse into a
-    single generator, recording every bound check and algebra dimension."""
+    single generator, recording every bound check and algebra dimension. The
+    projection family of the units is built once, for both of the first two
+    stages."""
     tup = xs if isinstance(xs, GeneratorTuple) else GeneratorTuple.of(xs)
     k = sys.k
 
-    res = _run_stage("cut_and_paste", lambda: cut_and_paste(tup, sys, cfg))
+    fam = _run_stage("cut_and_paste", lambda: family_from_units(sys, cfg))
+    res = _run_stage("cut_and_paste", lambda: _cut_and_paste(tup, sys, fam, cfg))
     stage1 = StageReport(
         name="cut_and_paste",
         ok=True,
@@ -344,7 +355,7 @@ def pipeline(
     )
 
     x1, x2 = _run_stage(
-        "single_generator_pair", lambda: single_generator_pair(res.q, sys, cfg)
+        "single_generator_pair", lambda: _single_generator_pair(res.q, sys, fam, cfg)
     )
     # the pair and the fused element are words in q and the units, and give
     # them back by words (certified in single_generator_pair, exact in fuse):

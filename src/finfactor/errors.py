@@ -11,8 +11,9 @@ class DimensionMismatch(FinfactorError):
 
 class DimensionOverflow(FinfactorError):
     """A construction would exceed the configured ambient-dimension cap, or
-    generate or commutant would pass the span byte budget (1 GiB of n^4
-    complex entries)."""
+    an array that a unit-system builder (k^2 n^2 entries), generate or
+    commutant (n^4 entries) would allocate would pass the 1 GiB byte budget
+    of complex entries (matrix_core.check_array_budget)."""
 
 
 class NotSelfAdjoint(FinfactorError):

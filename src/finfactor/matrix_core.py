@@ -25,6 +25,7 @@ from .errors import (
 
 DEFAULT_DIM_CAP = 256
 DIM_CAP_ENV = "FINFACTOR_DIM_CAP"
+_ARRAY_BYTE_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,20 @@ def check_dimension_cap(n: int) -> None:
     cap = dimension_cap()
     if n > cap:
         raise DimensionOverflow(f"ambient dimension {n} exceeds cap {cap}")
+
+
+def check_array_budget(entries: int, what: str) -> None:
+    """Raise DimensionOverflow when an array of this many complex128 entries
+    (16 bytes each), named by what, would pass the 1 GiB array budget. The
+    unit-system builders, generate and commutant check their largest array
+    from this estimate before allocating anything: n^4 entries, a basis of
+    M_n, fit up to n = 90."""
+    need = 16 * entries
+    if need > _ARRAY_BYTE_BUDGET:
+        raise DimensionOverflow(
+            f"{what} needs {need / 2**30:.1f} GiB for {entries} complex entries, "
+            f"over the {_ARRAY_BYTE_BUDGET / 2**30:.0f} GiB array budget"
+        )
 
 
 def _square_dim(shape) -> int:

@@ -3,11 +3,14 @@ generator pairs, tensor composites, and nested corner products.
 
 A system of size k is a k x k array of matrices with e_ij* = e_ji and
 e_il e_lj = e_ij; the diagonal sums to a projection (the support), and the
-system is "full" when the support is the identity.
+system is "full" when the support is the identity. Each builder refuses a
+system whose k^2 n^2 complex entries would pass the array budget
+(matrix_core.check_array_budget) with DimensionOverflow, before building it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from typing import Callable
@@ -19,6 +22,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
     _working_field,
+    check_array_budget,
     check_dimension_cap,
     frobenius_norm,
     identity,
@@ -57,6 +61,12 @@ class MatrixUnitSystem:
         return [self.units[i, j] for i in range(self.k) for j in range(self.k)]
 
 
+def _check_units_budget(k: int, n: int):
+    """Refuse a size-k system in M_n, k^2 n^2 complex entries, past the
+    array budget before it is built."""
+    check_array_budget(k * k * n * n, f"a size-{k} unit system in M_{n}")
+
+
 def system_from_units(units) -> MatrixUnitSystem:
     arr = np.asarray(units, dtype=np.complex128)
     if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
@@ -69,6 +79,7 @@ def standard_units(k: int) -> MatrixUnitSystem:
     if k < 1:
         raise SystemTooSmall(f"system size must be >= 1, got {k}")
     check_dimension_cap(k)
+    _check_units_budget(k, k)
     # entry (i, j, a, b) of the reshaped identity is 1 iff (i, j) = (a, b)
     units = np.eye(k * k, dtype=np.complex128).reshape(k, k, k, k)
     return MatrixUnitSystem(ambient_dim=k, k=k, units=units)
@@ -172,6 +183,7 @@ def tensor_units(a: MatrixUnitSystem, b: MatrixUnitSystem) -> MatrixUnitSystem:
     n = a.ambient_dim * b.ambient_dim
     check_dimension_cap(n)
     k = a.k * b.k
+    _check_units_budget(k, n)
     # axes (i, s, j, t, rows, cols): entry [i, s, j, t] is e_ij (x) f_st
     outer = a.units.reshape(a.k, 1, a.k, 1, a.ambient_dim, a.ambient_dim)
     inner = b.units.reshape(1, b.k, 1, b.k, b.ambient_dim, b.ambient_dim)
@@ -201,6 +213,9 @@ def nested_product(
         return chain[0]
     if not chain[0].is_full(cfg):
         raise SupportMismatch("the first system in a chain must be full")
+    # the composite is the largest array built: each level's product and its
+    # middle block (k_acc k_next^2 n^2 entries) are no larger
+    _check_units_budget(math.prod(s.k for s in chain), chain[0].ambient_dim)
 
     acc = chain[0]
     pivot = 1  # flat index of the all-(2,...,2) diagonal unit, 0-based
@@ -241,6 +256,7 @@ def placed_units(
     pre(sizes[0]) (x) ... (x) pre(sizes[level-1]) (x) e_st (x) I (x) ... (x) I:
     every factor before the level holds the fixed matrix pre(size)."""
     m = sizes[level]
+    _check_units_budget(m, math.prod(sizes))
     head = reduce(np.kron, [pre(d) for d in sizes[:level]], np.ones((1, 1), dtype=np.complex128))
     tail = identity(int(np.prod(sizes[level + 1 :])))
     units = np.kron(np.kron(head[None, None], standard_units(m).units), tail[None, None])

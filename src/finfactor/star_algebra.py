@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionOverflow
+from .errors import DimensionMismatch
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     as_matrix_stack,
+    check_array_budget,
     identity,
     stack_dim,
 )
@@ -46,24 +47,11 @@ _RENORM_GATE = 1e-13
 # rows of commutator blocks per QR fold in commutant (at least one block):
 # whole blocks of n^2 rows, enough of them at small n that the QR calls stay few
 _COMMUTANT_SLAB_ROWS = 400
-# generate and commutant hold O(n^4) entries (the span's rows, the commutant's
-# factor, a basis of M_n); they refuse an n whose n^4 complex128 entries would
-# pass this many bytes before allocating anything (n <= 90 fits)
-_SPAN_BYTE_BUDGET = 1 << 30
 # the Wedderburn split's bars, in units of span_tol: the eigen-gap of the
 # chosen vector, and the residual of every vector its spin-up admits
 _CERTIFICATE_FLOOR = 1e3
 # seed of the split's fixed real mix of all self-adjoint parts
 _MIX_SEED = 0
-
-
-def _check_span_budget(n: int):
-    need = 16 * n**4
-    if need > _SPAN_BYTE_BUDGET:
-        raise DimensionOverflow(
-            f"ambient dimension {n} needs {need / 2**30:.1f} GiB for n^4 complex "
-            f"entries, over the {_SPAN_BYTE_BUDGET / 2**30:.0f} GiB span budget"
-        )
 
 
 def _complement(rows: np.ndarray) -> np.ndarray:
@@ -199,16 +187,17 @@ def generate(
 ) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
-    First splits the algebra into its multiplicity-free blocks by vector
-    spin-up (_wedderburn_split): each block M_d is found from one vector in
-    O(n^3) work, and when one block is all of C^n the result is
-    full_matrix_basis(n). A split result holds no n^4 array until its
-    elements are read (its dim needs none; equal and contains on M_n need
-    none either). The closure engine (_span_closure) runs only on what the
-    split leaves: a remainder in which no self-adjoint part has an isolated
-    eigenvalue, such as M_k (x) I. The engine seeds the span with I, the
-    generators, and their adjoints, then repeatedly multiplies basis pairs
-    and absorbs new directions until the span is stable. A round forms only
+    Returns the algebra split into its multiplicity-free blocks by vector
+    spin-up (_wedderburn_split), with each block's margins: each block M_d
+    is found from one vector in O(n^3) work, and one block that is all of
+    C^n is M_n in its standard basis, the elements of full_matrix_basis(n).
+    The result holds no n^4 array until its elements are read (its dim
+    needs none; equal and contains on M_n need none either). The closure
+    engine (_span_closure) runs only on what the split leaves: a remainder
+    in which no self-adjoint part has an isolated eigenvalue, such as
+    M_k (x) I. The engine seeds the span with I, the generators, and their
+    adjoints, then repeatedly multiplies basis pairs and absorbs new
+    directions until the span is stable. A round forms only
     the products with at least one factor added in the previous round
     (semi-naive closure): older pairs were absorbed then. An empty generator
     list yields the scalars (ambient_dim must then be given). Stops early
@@ -218,7 +207,7 @@ def generate(
     that is not square, a list of mixed sizes or an ambient_dim that does
     not match, ValueError for a non-finite entry. Raises DimensionOverflow,
     before allocating anything, when n^4 complex entries would pass the
-    span byte budget.
+    array budget (matrix_core.check_array_budget).
     """
     gens = list(generators)
     n = stack_dim(gens)
@@ -230,8 +219,8 @@ def generate(
         raise DimensionMismatch(
             f"ambient_dim {ambient_dim} does not match generators of dim {n}"
         )
-    _check_span_budget(n)
-    return _wedderburn_split(as_matrix_stack(gens, n), cfg.span_tol).result()
+    check_array_budget(n**4, f"ambient dimension {n}")
+    return _wedderburn_split(as_matrix_stack(gens, n), cfg.span_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +368,8 @@ def _wedderburn_split(stack: np.ndarray, tol: float) -> "_SplitBasis":
             # block only if no letter maps it out of itself by more than tol
             if np.linalg.norm(W.conj() @ (both @ Q.T), axis=(1, 2)).max() > tol:
                 break
+        if len(Q) == n:  # all of C^n: M_n, held in the standard basis
+            return _SplitBasis(n, (_Block(identity(n), gap, worst),), None, None)
         blocks.append(_Block(Q.T if U is None else U @ Q.T, gap, worst))
         r -= len(Q)
         if not r:
@@ -427,37 +418,19 @@ def _close(builder: _SpanBuilder):
         done = start_dim
 
 
-class _FullMatrixBasis(AlgebraBasis):
-    """All of M_n: dim is n^2 at once, the n^4 elements are built on first
-    read and then kept."""
-
-    def __init__(self, n: int):
-        object.__setattr__(self, "ambient_dim", n)
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim**2
-
-    @functools.cached_property
-    def elements(self) -> np.ndarray:
-        n = self.ambient_dim
-        elements = np.eye(n * n, dtype=np.complex128)
-        elements *= math.sqrt(n)  # in place: a second n^4 array would double the peak
-        return elements.reshape(n * n, n, n)
-
-
 class _SplitBasis(AlgebraBasis):
     """An algebra as the direct sum of its multiplicity-free blocks
     (_Block) and at most one remainder: the orthonormal columns U of the
     remainder's subspace and the algebra there, at size r, as an
-    AlgebraBasis. With no block, the remainder is all of C^n and U is None;
-    with no remainder, both are None.
+    AlgebraBasis. With no block, the remainder is all of C^n, U is None and
+    the elements are the remainder's own; with no remainder, both are None.
 
     dim comes from the block sizes at once; the elements are built on first
     read and then kept. Block V gives sqrt(n) V e_ab V* for a, b < d; the
     remainder's basis B is lifted as sqrt(n / r) U B U*. Both are
     tau-orthonormal in M_n, and blocks on orthogonal subspaces are
-    orthogonal."""
+    orthogonal. M_n is one block with V = I, whose elements sqrt(n) e_ab are
+    sqrt(n) I_{n^2} reshaped."""
 
     def __init__(self, n: int, blocks: tuple, U, remainder):
         object.__setattr__(self, "ambient_dim", n)
@@ -470,17 +443,10 @@ class _SplitBasis(AlgebraBasis):
         rest = self.remainder.dim if self.remainder is not None else 0
         return sum(b.V.shape[1] ** 2 for b in self.blocks) + rest
 
-    def result(self) -> AlgebraBasis:
-        """What generate returns: the remainder itself when no block split
-        off, M_n when one block is all of C^n, else this split."""
-        if not self.blocks:
-            return self.remainder
-        if self.blocks[0].V.shape[1] == self.ambient_dim:
-            return full_matrix_basis(self.ambient_dim)
-        return self
-
     @functools.cached_property
     def elements(self) -> np.ndarray:
+        if not self.blocks:
+            return self.remainder.elements
         n = self.ambient_dim
         out = np.empty((self.dim, n, n), dtype=np.complex128)
         lo = 0
@@ -499,28 +465,29 @@ class _SplitBasis(AlgebraBasis):
 
 def full_matrix_basis(n: int) -> AlgebraBasis:
     """Tau-orthonormal basis of all of M_n (scaled elementary matrices:
-    sqrt(n) I_{n^2} reshaped to (n^2, n, n)).
+    sqrt(n) I_{n^2} reshaped to (n^2, n, n)), as a split with one block
+    V = I and no margins (inf).
 
     The result's dim is n^2 without building anything; its elements, n^4
     complex entries, are built on first read and kept from then on. equal
     and contains answer on any basis of dim n^2 without reading them.
     """
-    return _FullMatrixBasis(n)
+    return _SplitBasis(n, (_Block(identity(n), math.inf, math.inf),), None, None)
 
 
 def _generator_list(a):
     """(n, stack): the elements of an AlgebraBasis, or a non-empty list of
     matrices checked as one stack as generate checks it. Raises
     DimensionOverflow before the stack is read or built when n^4 complex
-    entries would pass the span byte budget."""
+    entries would pass the array budget."""
     if isinstance(a, AlgebraBasis):
-        _check_span_budget(a.ambient_dim)
+        check_array_budget(a.ambient_dim**4, f"ambient dimension {a.ambient_dim}")
         return a.ambient_dim, a.elements
     gens = list(a)
     n = stack_dim(gens)
     if n is None:
         raise DimensionMismatch("commutant of an empty list needs an AlgebraBasis or matrices")
-    _check_span_budget(n)
+    check_array_budget(n**4, f"ambient dimension {n}")
     return n, as_matrix_stack(gens, n)
 
 

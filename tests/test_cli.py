@@ -123,6 +123,30 @@ class TestDemo:
         assert "ambient dimension 216" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["demo", "shift", "--k", "91"], "size-91 unit system in M_91"),
+            (["demo", "nested-units", "--sizes", "10,10"], "size-100 unit system in M_100"),
+            (["demo", "nested-units", "--sizes", "16,16"], "size-256 unit system in M_256"),
+            (["pipeline", "INPUT"], "size-91 unit system in M_91"),
+        ],
+        ids=["shift_k91", "nested_10_10", "nested_16_16", "pipeline_n91"],
+    )
+    def test_oversized_unit_systems_exit_two_before_allocating(
+        self, capsys, tmp_path, argv, message
+    ):
+        # each unit system would hold k^2 n^2 >= 91^4 complex entries, over
+        # 1 GiB; the 91 x 91 input itself is 130 KiB
+        path = tmp_path / "x.json"
+        save_matrix(path, np.eye(91, dtype=complex))
+        argv = [str(path) if a == "INPUT" else a for a in argv]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [2] and peak < 64 << 20
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
         "dims,message",
         [
             ("2,100", "all factor dimensions must be >= 3, got [2, 100]"),

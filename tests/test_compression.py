@@ -27,7 +27,7 @@ from finfactor.errors import (
     NumericalFailure,
     SupportTooLarge,
 )
-from finfactor import star_algebra
+from finfactor import compression, star_algebra
 from finfactor.cli import main
 from finfactor.matrix_core import projection_residual, random_matrix, save_matrix
 from finfactor.sparsity import family_from_units, support_mask
@@ -301,6 +301,18 @@ class TestPipeline:
         rep = pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
         assert calls == {"generate": 2, "equal": 1}
         assert [s.algebra_dims for s in rep.stages] == [{"before": 64, "after": 64}] * 3
+
+    def test_builds_the_projection_family_once(self, monkeypatch):
+        calls = []
+
+        def counted(sys, cfg):
+            calls.append(sys)
+            return family_from_units(sys, cfg)
+
+        monkeypatch.setattr(compression, "family_from_units", counted)
+        sys = standard_units(8)
+        pipeline([sparse_element(8, [(2, 3)])], sys)
+        assert calls == [sys]
 
     def test_dense_two_block_input_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "x.json"

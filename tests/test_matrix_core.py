@@ -24,7 +24,13 @@ from finfactor.errors import (
     FileFormatError,
     NotSelfAdjoint,
 )
-from finfactor.matrix_core import as_matrix, random_hermitian, random_matrix, random_unitary
+from finfactor.matrix_core import (
+    as_matrix,
+    check_array_budget,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+)
 
 
 class TestNormalizedTrace:
@@ -171,6 +177,12 @@ class TestValidation:
             ToleranceConfig(zero_block_eta=0.0)
         with pytest.raises(ValueError):
             ToleranceConfig(span_tol=1.5)
+
+
+def test_array_budget_admits_1_gib_of_complex_entries_and_no_more():
+    check_array_budget(1 << 26, "at the budget")
+    with pytest.raises(DimensionOverflow, match="past the budget needs 1.0 GiB"):
+        check_array_budget((1 << 26) + 1, "past the budget")
 
 
 class TestMatrixFile:

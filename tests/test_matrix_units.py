@@ -19,6 +19,7 @@ from finfactor import (
 )
 from finfactor.errors import DimensionOverflow, SupportMismatch, SystemTooSmall
 from finfactor.matrix_core import random_unitary
+from finfactor.matrix_units import placed_units
 
 from helpers import traced_peak
 
@@ -169,6 +170,28 @@ class TestTensorUnits:
         monkeypatch.setenv("FINFACTOR_DIM_CAP", "8")
         with pytest.raises(DimensionOverflow, match="ambient dimension 12 exceeds cap 8"):
             build()
+
+
+@pytest.mark.parametrize(
+    "name", ["standard_units", "amplified_units", "placed_units", "tensor_units", "nested_product"]
+)
+def test_builders_refuse_past_the_array_budget_before_allocating(name):
+    # 91^4, 50^2 200^2 and 100^4 complex entries pass 1 GiB; the inputs are small
+    small = standard_units(10)
+    chain = corner_chain([10, 10])
+    build = {
+        "standard_units": lambda: standard_units(91),
+        "amplified_units": lambda: amplified_units(91, 1),
+        "placed_units": lambda: placed_units([50, 4], 0, identity),
+        "tensor_units": lambda: tensor_units(small, small),
+        "nested_product": lambda: nested_product(chain),
+    }[name]
+
+    def refused():
+        with pytest.raises(DimensionOverflow, match="unit system in M_"):
+            build()
+
+    assert traced_peak(refused) < 4 << 20
 
 
 class TestNestedProduct:

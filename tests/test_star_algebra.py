@@ -992,6 +992,45 @@ def test_weakly_coupled_blocks_are_not_split(delta, where):
     assert all(contains(basis, g)[0] for g in gens)
 
 
+def _routes():
+    x1, x2 = shift_pair(standard_units(12))
+    return {
+        "engine": _hidden(amplified_units(4, 3).unit_list(), np.random.default_rng(25)),
+        "m_n": [x1, x2],
+        "split": _hidden_sums()["a_a_b"][0],
+    }
+
+
+@pytest.mark.parametrize("route", ["engine", "m_n", "split"])
+def test_generate_returns_its_split_on_every_route(route):
+    basis = generate(_routes()[route])
+    assert type(basis) is star_algebra._SplitBasis
+    n = basis.ambient_dim
+    if route == "engine":
+        assert not basis.blocks and basis.U is None
+        assert basis.remainder.dim == basis.dim
+    elif route == "m_n":
+        assert basis.remainder is None and len(basis.blocks) == 1
+        assert basis.blocks[0].V.tobytes() == identity(n).tobytes()
+    else:
+        assert basis.blocks and basis.remainder is not None
+
+
+def test_certified_m_n_keeps_its_margins():
+    basis = generate(_routes()["m_n"])
+    block, = basis.blocks
+    bar = star_algebra._CERTIFICATE_FLOOR * DEFAULT_TOL.span_tol
+    assert bar < block.gap < np.inf and bar < block.worst < np.inf
+    full = full_matrix_basis(12)
+    assert full.blocks[0].gap == full.blocks[0].worst == np.inf
+    assert basis.elements.tobytes() == full.elements.tobytes()
+
+
+def test_engine_only_split_shares_its_remainder_elements():
+    basis = generate(_routes()["engine"])
+    assert np.shares_memory(basis.elements, basis.remainder.elements)
+
+
 def test_split_basis_is_lazy_and_tau_orthonormal(monkeypatch):
     # sqrt(n) V e_ab V* per block and the lifted remainder: an algebra basis
     # of the right span, built only when its elements are read
@@ -1012,9 +1051,10 @@ def test_split_basis_is_lazy_and_tau_orthonormal(monkeypatch):
 
 
 def test_span_budget_admits_n_90_and_refuses_n_91():
-    star_algebra._check_span_budget(90)
-    with pytest.raises(DimensionOverflow):
-        star_algebra._check_span_budget(91)
+    # the scalars of M_90 are one matrix; the budget is checked on n^4 first
+    assert generate([], ambient_dim=90).dim == 1
+    with pytest.raises(DimensionOverflow, match="ambient dimension 91"):
+        generate([], ambient_dim=91)
 
 
 def _refused_peak(fn):
@@ -1065,7 +1105,7 @@ def _refuse_to_build(monkeypatch):
     def refuse(self):
         raise AssertionError("a basis of M_n was built")
 
-    monkeypatch.setattr(star_algebra._FullMatrixBasis, "elements", property(refuse))
+    monkeypatch.setattr(star_algebra._SplitBasis, "elements", property(refuse))
 
 
 def test_equal_and_contains_on_m_n_build_no_basis(monkeypatch):
