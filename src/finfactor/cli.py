@@ -235,7 +235,9 @@ def _demo_nested_units(args, cfg) -> tuple[dict, dict]:
         "verify": rep.to_doc(),
         "diagonal_sum_residual": sum_residual,
     }
-    return doc, {"units.json": _units_to_doc(nested)}
+    # the document holds one Python list per entry, many times the system's
+    # own bytes: build it only when it is written
+    return doc, ({"units.json": _units_to_doc(nested)} if args.out else {})
 
 
 def cmd_demo(args) -> int:

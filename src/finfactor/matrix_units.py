@@ -135,8 +135,9 @@ def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSys
         left = u[:, l, None]                 # e_il, i = 0..k-1
         for m in range(k):
             prods = np.matmul(left, u[m][None])
-            diff = prods - u if l == m else prods
-            worst = float(np.linalg.norm(diff.reshape(k * k, -1), axis=1).max())
+            if l == m:
+                prods -= u
+            worst = float(np.linalg.norm(prods.reshape(k * k, -1), axis=1).max())
             product_res = max(product_res, worst)
 
     support = sys.support
@@ -232,17 +233,16 @@ def nested_product(
             )
         left = acc.units[:, pivot]    # (k_acc, n, n): rows ending in column 2
         right = acc.units[pivot, :]   # (k_acc, n, n): rows starting at row 2
-        # two batched products: [i, s, t] = e_i2 f_st, then [i, s, t, j] = that e_2j
+        # two batched products: [i, s, t] = e_i2 f_st, then [i, s, t, j] = that
+        # e_2j, written through a transposed view straight into the [i, s, j, t]
+        # layout of the composite, so no reordering copy is made
         middle = np.matmul(left[:, None, None], nxt.units[None])
-        combined = np.matmul(middle[:, :, :, None], right[None, None, None])
-        combined = combined.transpose(0, 1, 3, 2, 4, 5)
-        k_new = acc.k * nxt.k
-        n = acc.ambient_dim
-        acc = MatrixUnitSystem(
-            ambient_dim=n,
-            k=k_new,
-            units=combined.reshape(k_new, k_new, n, n),
-        )
+        k_acc, k_nxt, n = acc.k, nxt.k, acc.ambient_dim
+        units = np.empty((k_acc, k_nxt, k_acc, k_nxt, n, n), dtype=np.result_type(middle, right))
+        np.matmul(middle[:, :, :, None], right[None, None, None],
+                  out=units.transpose(0, 1, 3, 2, 4, 5))
+        k_new = k_acc * k_nxt
+        acc = MatrixUnitSystem(ambient_dim=n, k=k_new, units=units.reshape(k_new, k_new, n, n))
         pivot = pivot * nxt.k + 1
     return acc
 

@@ -346,8 +346,8 @@ def _grouping_id(groups) -> str:
     return "grouping:" + "|".join(",".join(str(i + 1) for i in g) for g in parts)
 
 
-# bytes of the (B, E, k, n) intermediate one partner sweep batch may use
-_SWEEP_BYTES = 1 << 24
+# bytes of the (B, E, k, n) intermediate one batch of swaps may use
+_SWEEP_BYTES = 1 << 20
 
 
 def _grouping_counts(sq_mags, thresholds_sq, assigns, k) -> np.ndarray:
@@ -364,13 +364,16 @@ def _grouping_counts(sq_mags, thresholds_sq, assigns, k) -> np.ndarray:
 def _grouping_search(tup, k, seed, restarts, cfg):
     """First-improvement pairwise-swap descent over balanced groupings.
 
-    For each a, the swaps of a with the later partners b in other groups are
-    counted in one batch under the current assignment and the first
-    improving one is taken; only the partners after it are counted again.
-    Rejected swaps never change the assignment, so this accepts exactly the
-    swaps a one-at-a-time sweep would. Block masses are fresh sums of
-    nonnegative |x|^2 entries: the squared threshold can be 1e-20 ||x||^2,
-    below the cancellation error of an incremental update.
+    A sweep visits the swaps (a, b), a < b, in np.triu_indices order and
+    skips pairs already in one group. The next batch of swaps, which may run
+    across several a, is counted in one call under the current assignment,
+    and the first improving one is taken; the sweep resumes at the pair after
+    it. Rejected swaps never change the assignment, so this accepts exactly
+    the swaps a one-at-a-time sweep would. A batch starts at n - 1 swaps,
+    doubles after each batch with no improving swap, up to _SWEEP_BYTES of
+    intermediate, and starts over at n - 1 after an acceptance. Block masses
+    are fresh sums of nonnegative |x|^2 entries: the squared threshold can
+    be 1e-20 ||x||^2, below the cancellation error of an incremental update.
     """
     n = tup.ambient_dim
     m = n // k
@@ -378,7 +381,13 @@ def _grouping_search(tup, k, seed, restarts, cfg):
     thresholds_sq = np.array(
         [(cfg.zero_block_eta * frobenius_norm(x)) ** 2 for x in tup.elements]
     )
-    batch = max(1, _SWEEP_BYTES // (8 * len(tup) * k * n))
+    cap = max(1, _SWEEP_BYTES // (8 * len(tup) * k * n))
+    start = min(n - 1, cap)
+    pair_a, pair_b = np.triu_indices(n, 1)
+
+    def pending(assign, start):
+        """Pairs from start on whose indices lie in different groups."""
+        return start + np.nonzero(assign[pair_a[start:]] != assign[pair_b[start:]])[0]
 
     def canonical(assign):
         groups = [tuple(sorted(np.nonzero(assign == j)[0].tolist())) for j in range(k)]
@@ -395,25 +404,23 @@ def _grouping_search(tup, k, seed, restarts, cfg):
         improved = True
         while improved:
             improved = False
-            for a in range(n):
-                lo = a + 1
-                while True:
-                    partners = lo + np.nonzero(assign[lo:] != assign[a])[0][:batch]
-                    if not partners.size:
-                        break
-                    trials = np.repeat(assign[None], partners.size, axis=0)
-                    rows = np.arange(partners.size)
-                    trials[rows, a] = assign[partners]
-                    trials[rows, partners] = assign[a]
-                    cands = _grouping_counts(sq_mags, thresholds_sq, trials, k)
-                    better = np.nonzero(cands < count)[0]
-                    if better.size:
-                        first = better[0]
-                        assign, count = trials[first], cands[first]
-                        improved = True
-                        lo = partners[first] + 1
-                    else:
-                        lo = partners[-1] + 1
+            todo, size = pending(assign, 0), start
+            while todo.size:
+                batch = todo[:size]
+                a, b = pair_a[batch], pair_b[batch]
+                trials = np.repeat(assign[None], batch.size, axis=0)
+                rows = np.arange(batch.size)
+                trials[rows, a] = assign[b]
+                trials[rows, b] = assign[a]
+                cands = _grouping_counts(sq_mags, thresholds_sq, trials, k)
+                better = np.nonzero(cands < count)[0]
+                if better.size:
+                    first = better[0]
+                    assign, count = trials[first], cands[first]
+                    improved = True
+                    todo, size = pending(assign, batch[first] + 1), start
+                else:
+                    todo, size = todo[batch.size :], min(2 * size, cap)
         key = (count, canonical(assign))
         if best is None or key < best[0]:
             best = (key, assign.copy())
@@ -455,6 +462,8 @@ def minimize_index(
         raise UnknownStrategy(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if restarts < 0:
         raise ValueError(f"restarts must be a non-negative integer, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     if strategy == "unitary_local_search":
         fam, fam_id = diagonal_family(n, k), "standard_diagonal"

@@ -84,6 +84,15 @@ class TestDemo:
         bundle = json.loads((out / "units.json").read_text())
         _validator("units-bundle.schema.json").validate(bundle)
 
+    def test_nested_units_without_out_builds_no_bundle(self, capsys):
+        # the 6,6 system holds 25.6 MiB; a units.json document of it, one
+        # Python list per entry, took the traced peak to 233 MiB
+        codes = []
+        argv = ["demo", "nested-units", "--sizes", "6,6", "--json"]
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0] and peak < 96 << 20
+        assert json.loads(capsys.readouterr().out)["verify"]["passed"] is True
+
     def test_invalid_kind_is_usage_error(self, capsys):
         assert main(["demo", "nonsense"]) == 1
 
@@ -197,6 +206,14 @@ class TestSparsity:
         assert main(["sparsity", *shift_files, "--k", "2", "--restarts", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: restarts must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("strategy", ["diagonal_grouping", "unitary_local_search", "combined"])
+    def test_negative_seed_is_usage_error(self, capsys, shift_files, strategy):
+        argv = ["sparsity", *shift_files, "--k", "2", "--seed", "-1", "--strategy", strategy]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
 
     def test_seeded_runs_are_byte_identical(self, capsys, shift_files):
         argv = ["sparsity", *shift_files, "--k", "2", "--seed", "7", "--json"]

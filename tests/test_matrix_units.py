@@ -243,6 +243,16 @@ class TestNestedProduct:
         with pytest.raises(SystemTooSmall):
             corner_chain([1, 3])
 
+    @pytest.mark.parametrize("sizes", [[6, 6], [2, 3, 4]])
+    def test_peak_stays_near_the_returned_system(self, sizes):
+        # each level writes its products straight into the composite's
+        # layout: only the level's middle block and the previous level's
+        # system are held beside it
+        chain = corner_chain(sizes)
+        built = []
+        peak = traced_peak(lambda: built.append(nested_product(chain)))
+        assert peak < 1.3 * built[0].units.nbytes
+
     def test_matches_paper_style_tensor_form(self):
         # for the canonical chain the composite units are plain tensor products
         nested = nested_product(corner_chain([2, 3]))

@@ -313,10 +313,14 @@ def _grouping_search_cases():
 
 @pytest.mark.parametrize(
     "strategy, sweep_bytes",
-    [(strategy, None) for strategy in sparsity.STRATEGIES] + [("diagonal_grouping", 2000)],
+    [(strategy, None) for strategy in sparsity.STRATEGIES]
+    + [("diagonal_grouping", 2000)]
+    + [(strategy, 20000) for strategy in ("diagonal_grouping", "combined")],
 )
 def test_grouping_search_matches_one_swap_reference(monkeypatch, strategy, sweep_bytes):
-    # 2000 bytes cuts every partner sweep into batches of one to a few swaps
+    # 2000 bytes caps every batch at one to a few swaps; 20000 caps the
+    # planted n=16..48 cases at 3 to 19 swaps, so batches end both inside an
+    # index row and past it, in the next one
     if sweep_bytes is not None:
         monkeypatch.setattr(sparsity, "_SWEEP_BYTES", sweep_bytes)
     batched = sparsity._grouping_search
@@ -331,6 +335,23 @@ def test_grouping_search_matches_one_swap_reference(monkeypatch, strategy, sweep
         assert rep.family_id == ref_rep.family_id, (seed, k)
         assert rep.index == ref_rep.index, (seed, k)
         assert fam.projections.tobytes() == ref_fam.projections.tobytes(), (seed, k)
+
+
+def test_grouping_search_counts_once_per_batch(monkeypatch):
+    # one _grouping_counts call per batch of swaps, not per index a; the
+    # search that counted each a's partners in its own call made 109 here
+    calls = []
+    counts = sparsity._grouping_counts
+
+    def counted(sq_mags, thresholds_sq, assigns, k):
+        calls.append(assigns.shape[0])
+        return counts(sq_mags, thresholds_sq, assigns, k)
+
+    monkeypatch.setattr(sparsity, "_grouping_counts", counted)
+    xs = planted_tuple(16, np.random.default_rng(3))
+    _, rep = minimize_index(xs, 4, seed=5, restarts=2)
+    assert rep.family_id == "grouping:1,5,8,13|2,4,7,9|3,11,12,16|6,10,14,15"
+    assert len(calls) <= 109 // 2
 
 
 class TestDirectSumFamily:
