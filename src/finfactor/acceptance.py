@@ -321,6 +321,8 @@ CRITERIA = (
 
 
 def run_criterion(number: int, seed: int = 0, eta=None) -> CriterionResult:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     for num, name, fn, budget in CRITERIA:
         if num == number:
             start = time.perf_counter()

@@ -44,8 +44,9 @@ class AlgebraBasis:
 
 
 _RENORM_GATE = 1e-13
-# rows of commutator blocks per QR fold in commutant (at least one block):
-# whole blocks of n^2 rows, enough of them at small n that the QR calls stay few
+# real constraint rows per QR fold in commutant: whole blocks of n^2 rows, at
+# least two (one letter's two Hermitian parts, the bytes of one complex block),
+# enough of them at small n that the QR calls stay few
 _COMMUTANT_SLAB_ROWS = 400
 # the Wedderburn split's bars, in units of span_tol: the eigen-gap of the
 # chosen vector, and the residual of every vector its spin-up admits
@@ -491,42 +492,84 @@ def _generator_list(a):
     return n, as_matrix_stack(gens, n)
 
 
-def _scalar_set(seen: np.ndarray, bound: float) -> bool:
-    """True when sum over g in seen of 2n ||g - (tr g / n) I||_F^2 <= bound^2.
+def _scalar_set(letters: np.ndarray, bound: float) -> bool:
+    """True when sum over the letters g and their adjoints of
+    2n ||g - (tr g / n) I||_F^2 <= bound^2.
 
     The block x -> xg - gx has exactly that squared Frobenius norm (the
-    cross term is |tr h|^2 = 0 for the traceless part h of g), and the
-    Frobenius norm of the stack bounds each of its singular values. The sum
-    is formed one matrix at a time and stops once it passes the bound."""
-    n = seen.shape[1]
+    cross term is |tr h|^2 = 0 for the traceless part h of g), g* gives the
+    same term as g, and the Frobenius norm of the stack bounds each of its
+    singular values. The sum is formed one letter at a time and stops once
+    it passes the bound."""
+    n = letters.shape[1]
     diag = np.arange(n)
     total, limit = 0.0, bound * bound
-    for g in seen:
+    for g in letters:
         h = g.copy()
         h[diag, diag] -= np.trace(g) / n
-        total += 2 * n * float(np.vdot(h, h).real)
+        total += 4 * n * float(np.vdot(h, h).real)
         if not total <= limit:  # a NaN entry takes the SVD route too
             return False
     return True
 
 
+def _hermitian_parts(letters: np.ndarray):
+    """(A, B), the real and imaginary parts of the Hermitian parts
+    p1 = (g + g*)/sqrt(2) and p2 = -i(g - g*)/sqrt(2) of each letter g, in
+    letter order, with every part that is exactly zero dropped (p2 of an
+    exactly Hermitian letter). A is symmetric and B antisymmetric."""
+    n = letters.shape[1]
+    G, H = letters.real, letters.imag
+    Gt, Ht = G.transpose(0, 2, 1), H.transpose(0, 2, 1)
+    A = np.stack([G + Gt, H + Ht], axis=1).reshape(-1, n, n) / math.sqrt(2)
+    B = np.stack([H - Ht, Gt - G], axis=1).reshape(-1, n, n) / math.sqrt(2)
+    nonzero = A.any(axis=(1, 2)) | B.any(axis=(1, 2))
+    return A[nonzero], B[nonzero]
+
+
+def _constraint_slab(out: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """Write the blocks of the real maps X -> X^T A - A X^T - X B + B X, one
+    per part p = A + iB, into out, shape (m, n, n, n, n): entry
+    [m, i, j, k, l] is row (i, j), column (k, l) of the block of part m
+    (row-major vec). Each term adds its factor along the diagonal where its
+    Kronecker delta is 1, through a writable einsum view of out."""
+    out.fill(0.0)
+    At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
+    np.einsum("mijki->mijk", out)[...] += At[:, None]  # X^T A: A[k, j] at l = i
+    np.einsum("mijjl->mijl", out)[...] -= A[:, :, None]  # A X^T: A[i, l] at k = j
+    np.einsum("mijil->mijl", out)[...] -= Bt[:, None]  # X B: B[l, j] at k = i
+    np.einsum("mijkj->mijk", out)[...] += B[:, :, None]  # B X: B[i, k] at l = j
+
+
 def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     """Algebra of all x commuting with every generator (and every adjoint).
 
-    Computed as the joint null space of the linear maps x -> xg - gx on the
-    n^2-dimensional matrix space. Adjoints are included so the result is
-    *-closed for arbitrary input sets. Each generator is first scaled to unit
-    Frobenius norm and zero ones are dropped: the commutant is the same, and
-    the null-space threshold below, absolute once the stack's singular values
-    are under 1, becomes relative to the inputs, so the result does not
-    depend on their scale.
+    Each generator is first scaled to unit Frobenius norm and zero ones are
+    dropped: the commutant is the same, and the null-space threshold below,
+    absolute once the stack's singular values are under 1, becomes relative
+    to the inputs, so the result does not depend on their scale.
+
+    The commutant of a *-closed set is spanned by its Hermitian elements
+    (Davidson, C*-Algebras by Example), and it is solved for them alone, in
+    float64. A unit-norm letter g has the Hermitian parts
+    p1 = (g + g*)/sqrt(2) and p2 = -i(g - g*)/sqrt(2), with
+    ad_p1* ad_p1 + ad_p2* ad_p2 = ad_g* ad_g + ad_g** ad_g*: the stack of
+    the maps x -> i[x, p] has the Gram matrix, and so the singular values,
+    of the complex stack over g and g*. A Hermitian x is held as the real
+    matrix X = Re x + Im x, an isometry from the Hermitian matrices onto
+    R^{n x n}, in which x -> i[x, p] for p = A + iB reads
+    X -> X^T A - A X^T - X B + B X (_constraint_slab). Parts that are
+    exactly zero, such as the anti-Hermitian part of a Hermitian letter,
+    are dropped.
 
     The constraint blocks are never stacked: slabs of consecutive blocks are
     folded into a running n^2 x n^2 triangular factor R (the R of a
     tall-skinny QR of the stack), and the null space is read off the SVD of
-    R. R*R is the Gram matrix of the stack, so the singular values, the
+    R. R^T R is the Gram matrix of the stack, so the singular values, the
     null-space threshold and the null space are those of the stack, while
-    memory stays O(n^4) whatever the number of generators.
+    memory stays O(n^4) whatever the number of generators. Each null row X
+    is mapped back to x = ((X + X^T) + i(X - X^T))/2, so the elements come
+    out exactly Hermitian and tau-orthonormal.
 
     A scalar set returns full_matrix_basis(n) before any slab is built. The
     block of g has Frobenius norm sqrt(2n) ||g - (tr g / n) I||_F, and the
@@ -539,33 +582,32 @@ def commutant(a, cfg: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     double commutant G'' that reaches M_n.
 
     Raises DimensionOverflow, before building any slab, when n^4 complex
-    entries would pass the span byte budget.
+    entries would pass the array budget (matrix_core.check_array_budget).
     """
     n, gens = _generator_list(a)
     N = n * n
     norms = np.linalg.norm(gens, axis=(1, 2))
     keep = norms > 0
-    m = int(keep.sum())
-    seen = np.empty((2 * m, n, n), dtype=np.complex128)
-    np.divide(gens if keep.all() else gens[keep], norms[keep, None, None], out=seen[:m])
-    np.conjugate(seen[:m].transpose(0, 2, 1), out=seen[m:])
-    if _scalar_set(seen, cfg.span_tol / 2):
+    letters = (gens if keep.all() else gens[keep]) / norms[keep, None, None]
+    if _scalar_set(letters, cfg.span_tol / 2):
         return full_matrix_basis(n)
-    eye = identity(n)
-    per_slab = max(1, _COMMUTANT_SLAB_ROWS // N)
-    R = np.zeros((0, N), dtype=np.complex128)
-    for lo in range(0, len(seen), per_slab):
-        part = seen[lo : lo + per_slab]
-        # row-major vec: vec(xg) = (I (x) g^T) v, vec(gx) = (g (x) I) v; entry
-        # [m, i, j, k, l] is row (i, j), column (k, l) of the block for part[m]
-        slab = eye[None, :, None, :, None] * part.transpose(0, 2, 1)[:, None, :, None, :]
-        slab -= part[:, :, None, :, None] * eye[None, None, :, None, :]
-        R = np.linalg.qr(np.vstack([R, slab.reshape(len(part) * N, N)]), mode="r")
-    _, svals, vh = np.linalg.svd(R)
-    smax = float(svals[0]) if len(svals) else 0.0
-    null_mask = svals <= cfg.span_tol * max(1.0, smax)
-    null_rows = vh[null_mask].conj()
-    elements = math.sqrt(n) * null_rows.reshape(-1, n, n)
+    A, B = _hermitian_parts(letters)
+    per_slab = max(2, _COMMUTANT_SLAB_ROWS // N)
+    # the running factor R in the first N rows, each slab written below it
+    buf = np.empty((N + min(per_slab, len(A)) * N, N))
+    rows = 0
+    for lo in range(0, len(A), per_slab):
+        hi = min(lo + per_slab, len(A))
+        end = rows + (hi - lo) * N
+        _constraint_slab(buf[rows:end].reshape(-1, n, n, n, n), A[lo:hi], B[lo:hi])
+        buf[:N] = np.linalg.qr(buf[:end], mode="r")
+        rows = N
+    _, svals, vh = np.linalg.svd(buf[:N])
+    X = vh[svals <= cfg.span_tol * max(1.0, float(svals[0]))].reshape(-1, n, n)
+    Xt = X.transpose(0, 2, 1)
+    elements = np.empty(X.shape, dtype=np.complex128)
+    np.multiply(X + Xt, math.sqrt(n) / 2, out=elements.real)
+    np.multiply(X - Xt, math.sqrt(n) / 2, out=elements.imag)
     return AlgebraBasis(ambient_dim=n, elements=elements)
 
 

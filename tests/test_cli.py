@@ -340,6 +340,12 @@ class TestVerifyAll:
                 del crit["elapsed_s"]
         assert second == doc
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify-all", "--seed", "-1", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+
     def test_human_output_one_line_per_criterion(self, capsys):
         assert main(["verify-all"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]

@@ -992,6 +992,79 @@ def test_weakly_coupled_blocks_are_not_split(delta, where):
     assert all(contains(basis, g)[0] for g in gens)
 
 
+# --- commutant in real Hermitian coordinates ------------------------------------
+
+
+def _exactly_hermitian(basis):
+    """True for a basis of exactly Hermitian elements, and for M_n, which a
+    scalar set's commutant returns in its standard basis."""
+    if type(basis) is star_algebra._SplitBasis:
+        return basis.dim == basis.ambient_dim**2
+    x = basis.elements
+    return np.array_equal(x, x.conj().transpose(0, 2, 1))
+
+
+def test_commutant_elements_are_exactly_hermitian_on_the_corpora():
+    # the null rows X map back to ((X + X^T) + i(X - X^T)) / 2
+    not_hermitian, defects = [], []
+    for key, _, gens, double in _corpus():
+        c = commutant(gens)
+        if not (_exactly_hermitian(c) and _exactly_hermitian(double)):
+            not_hermitian.append(key)
+        defects.append(max(_tau_gram_defect(c), _tau_gram_defect(double)))
+    assert not_hermitian == []
+    assert max(defects) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-9])
+def test_commutant_matches_reference_on_both_sides_of_the_bar(delta):
+    # a (+) d coupled at delta: the coupling's singular values sit above the
+    # null threshold at 1e-7 (C) and below it at 1e-9 (C (+) C)
+    rng = np.random.default_rng(29)
+    for trial in range(6):
+        gens = _weakly_coupled(delta, rng)
+        if trial % 2:
+            gens = _hidden(gens, rng)
+        c, ref = commutant(gens), reference_commutant(gens)
+        cc, ref2 = commutant(c), reference_commutant(ref)
+        assert (c.dim, cc.dim) == (ref.dim, ref2.dim) == ((1, 16) if delta > 1e-8 else (2, 8))
+        assert equal(c, ref) and equal(cc, ref2)
+
+
+def test_commutant_peak_on_the_shift_pair_at_k_20():
+    # the complex stack over g and g* peaked at 17.3 MiB
+    gens = list(shift_pair(standard_units(20)))
+    assert traced_peak(lambda: commutant(gens)) < 11 * 2**20
+
+
+def test_exactly_zero_parts_are_not_folded(monkeypatch):
+    # exactly Hermitian letters have no anti-Hermitian part: g n^2 rows, not
+    # 2g n^2; so has every element commutant returns, the letters of G''
+    rng = np.random.default_rng(30)
+    N = 36
+    hidden = _hidden([_direct_sum([_cgauss(rng, (3, 3)) for _ in range(2)]) for _ in range(2)], rng)
+    hermitian = [(y + y.conj().T) / 2 for y in hidden]
+    folds = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, mode="reduced"):
+        folds[-1].append(a.shape[0])
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+
+    def folded_rows(gens):
+        # every fold after the first carries the running factor's N rows
+        folds.append([])
+        c = commutant(gens)
+        return c, sum(folds[-1]) - N * (len(folds[-1]) - 1)
+
+    c, rows = folded_rows(hermitian)
+    assert (c.dim, rows) == (2, 2 * N)
+    assert folded_rows(c)[1] == 2 * N
+    assert folded_rows(hidden)[1] == 4 * N
+
+
 def _routes():
     x1, x2 = shift_pair(standard_units(12))
     return {
