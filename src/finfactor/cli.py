@@ -106,19 +106,17 @@ def _units_from_doc(doc) -> matrix_units.MatrixUnitSystem:
         raise FileFormatError(
             f"'units' must be an object of named matrices, got {type(raw).__name__}"
         )
-    mats = {}
+    mats = []
     for i in range(k):
         for j in range(k):
             key = f"e_{i + 1}_{j + 1}"
             if key not in raw:
                 raise FileFormatError(f"unit bundle is missing {key}")
-            mats[(i, j)] = matrix_from_doc(raw[key])
-    n = mats[(0, 0)].shape[0]
-    units = np.zeros((k, k, n, n), dtype=np.complex128)
-    for (i, j), m in mats.items():
-        if m.shape[0] != n:
-            raise FileFormatError("unit bundle mixes ambient dimensions")
-        units[i, j] = m
+            mats.append(matrix_from_doc(raw[key]))
+    n = mats[0].shape[0]
+    if any(m.shape[0] != n for m in mats):
+        raise FileFormatError("unit bundle mixes ambient dimensions")
+    units = np.stack(mats).reshape(k, k, n, n)
     declared = doc.get("ambient_dim")
     if isinstance(declared, bool) or not isinstance(declared, int) or declared != n:
         raise FileFormatError(
@@ -225,8 +223,7 @@ def _demo_nested_units(args, cfg) -> tuple[dict, dict]:
     check_array_budget(n**4, f"a size-{n} unit system in M_{n}")
     nested = matrix_units.nested_product(matrix_units.corner_chain(sizes), cfg)
     rep = matrix_units.verify(nested, cfg)
-    diag = nested.diagonal_projections()
-    sum_residual = float(np.linalg.norm(diag.sum(axis=0) - np.eye(n)))
+    sum_residual = float(np.linalg.norm(nested.support - np.eye(n)))
     doc = {
         "kind": "nested-units",
         "sizes": sizes,

@@ -44,7 +44,7 @@ from .matrix_core import (
     self_adjoint_residual,
     sqrt_clipped,
 )
-from .matrix_units import MatrixUnitSystem, shift_pair
+from .matrix_units import MatrixUnitSystem, _outer_residual, shift_pair
 from .sparsity import (
     GeneratorTuple,
     block_pattern,
@@ -121,11 +121,9 @@ def _cut_and_paste(xs, sys, fam, cfg) -> CutPasteResult:
     k, n = sys.k, sys.ambient_dim
     units = sys.units
 
-    triples = []
-    for p, x in enumerate(tup.elements):
-        for i, j in block_pattern(x, fam, cfg).positions():
-            triples.append((i, j, p))
-    triples.sort(key=lambda t: (t[2], t[0], t[1]))
+    # ordered by element, then row-major within its pattern
+    triples = [(i, j, p) for p, x in enumerate(tup.elements)
+               for i, j in block_pattern(x, fam, cfg).positions()]
     T = len(triples)
 
     if k < 2 or 4 * T > (k - 2) ** 2:
@@ -254,10 +252,7 @@ def _single_generator_pair(q, sys, fam, cfg) -> tuple[np.ndarray, np.ndarray]:
         )
     j0 = int(np.nonzero(~mask)[0][0])
 
-    perm = [(j0 + i) % k for i in range(k)]
-    relabeled = MatrixUnitSystem(
-        ambient_dim=sys.ambient_dim, k=k, units=sys.units[np.ix_(perm, perm)]
-    )
+    relabeled = MatrixUnitSystem(sys.ambient_dim, k, np.roll(sys.units, -j0, axis=(0, 1)))
     e11, shift = shift_pair(relabeled)
     x1 = e11 + 2.0 * q
     q_word = 0.5 * (x1 @ x1 - x1)
@@ -265,9 +260,7 @@ def _single_generator_pair(q, sys, fam, cfg) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(k - 1):
         column.append(shift @ column[-1] - column[-2])
     column = np.stack(column[1:])
-    words = column[:, None] @ column.conj().transpose(0, 2, 1)[None]
-    unit_residual = float(np.linalg.norm(words - relabeled.units, axis=(2, 3)).max())
-    residual = max(frobenius_norm(q_word - q), unit_residual)
+    residual = max(frobenius_norm(q_word - q), _outer_residual(column, relabeled.units))
     if residual > cfg.structural_tol:
         raise NumericalFailure(f"pair fails its word certificate: residual {residual:.3e}")
     return x1, shift

@@ -71,6 +71,8 @@ def system_from_units(units) -> MatrixUnitSystem:
     arr = np.asarray(units, dtype=np.complex128)
     if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
         raise DimensionMismatch(f"expected a (k, k, n, n) array, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise SystemTooSmall(f"need system size and ambient dimension >= 1, got shape {arr.shape}")
     return MatrixUnitSystem(ambient_dim=arr.shape[2], k=arr.shape[0], units=arr)
 
 
@@ -100,7 +102,7 @@ class UnitSystemReport:
     k: int
     ambient_dim: int
     adjoint_residual: float      # e_ij* = e_ji
-    product_residual: float      # e_il e_mj = delta_lm e_ij
+    product_residual: float      # certified bound on e_il e_mj = delta_lm e_ij
     support_residual: float      # sum_j e_jj is a projection
     trace_spread: float          # all tau(e_jj) equal
     full: bool                   # support equals the identity
@@ -119,40 +121,47 @@ class UnitSystemReport:
         return asdict(self)
 
 
+def _outer_residual(column: np.ndarray, units: np.ndarray) -> float:
+    """max over i, j of ||e_ij - c_i c_j*||_F for a (k, n, n) first column c
+    and (k, k, n, n) units e, through one batched product of the k^2 pairs."""
+    outer = column[:, None] @ column.conj().transpose(0, 2, 1)[None]
+    outer -= units
+    return float(np.linalg.norm(outer, axis=(2, 3)).max())
+
+
 def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSystemReport:
     """Check the matrix-unit axioms within structural_tol, reporting residuals.
 
-    When every imaginary part of the units is exactly zero, the axiom
-    products run in float64, where each costs a quarter of a complex one."""
+    A system is fixed by its first column c_i = e_i1, so the product axiom is
+    checked by two relations of that column, one batched product each, in
+    O(k^2 n^3): gamma = max ||G_lm||_F for G_lm = c_l* c_m - delta_lm e_11,
+    and phi = max ||F_ij||_F for F_ij = e_ij - c_i c_j*. product_residual is
+    P = phi (1 + s + 4 s^2) + s^2 gamma + phi^2 with s^2 = 1 + 2 gamma, which
+    bounds every ||e_il e_mj - delta_lm e_ij||_F. Proof, with ||.|| <= ||.||_F
+    the operator norm and ||AB||_F <= ||A|| ||B||_F, ||A||_F ||B||: ||e_11||^2
+    = ||c_1* c_1|| <= ||e_11|| + gamma gives ||e_11|| <= 1 + gamma, so
+    ||c_i||^2 <= s^2; e_il e_mj - delta_lm e_ij = c_i G_lm c_j* + c_i c_l* F_mj
+    + F_il c_m c_j* + F_il F_mj + delta_lm (c_i e_11 c_j* - e_ij), the first
+    four at most s^2 gamma, s^2 phi, s^2 phi, phi^2. As c_1 = e_11 and c_1 c_1*
+    is Hermitian, c_i e_11 = c_i - F_i1 + c_i (F_11 - F_11*), so the last is
+    -F_ij - F_i1 c_j* + c_i (F_11 - F_11*) c_j*, at most phi (1 + s + 2 s^2).
+    The adjoint axiom, e_ij* - e_ji = F_ij* - F_ji, is still measured directly.
+
+    Units whose imaginary parts are all exactly zero are checked in float64,
+    where a product costs a quarter of a complex one."""
     k, u = sys.k, _working_field(sys.units)
-    adjoint_res = 0.0
-    for i in range(k):
-        for j in range(k):
-            adjoint_res = max(adjoint_res, frobenius_norm(u[i, j].conj().T - u[j, i]))
+    unit_norms = partial(np.linalg.norm, axis=(2, 3))
+    adjoint_res = float(unit_norms(u - u.conj().transpose(1, 0, 3, 2)).max())
 
-    product_res = 0.0
-    for l in range(k):
-        left = u[:, l, None]                 # e_il, i = 0..k-1
-        for m in range(k):
-            prods = np.matmul(left, u[m][None])
-            if l == m:
-                prods -= u
-            worst = float(np.linalg.norm(prods.reshape(k * k, -1), axis=1).max())
-            product_res = max(product_res, worst)
-
-    support = sys.support
-    support_res = projection_residual(support)
-
-    traces = np.array([normalized_trace(u[j, j]).real for j in range(k)])
-    trace_spread = float(traces.max() - traces.min()) if k > 1 else 0.0
-
-    full = frobenius_norm(support - identity(sys.ambient_dim)) < cfg.structural_tol
-    passed = (
-        adjoint_res < cfg.structural_tol
-        and product_res < cfg.structural_tol
-        and support_res < cfg.structural_tol
-        and trace_spread < cfg.structural_tol
-    )
+    column = u[:, 0]
+    phi = _outer_residual(column, u)
+    gram = column.conj().transpose(0, 2, 1)[:, None] @ column[None]  # [l, m] = c_l* c_m
+    gram[np.arange(k), np.arange(k)] -= u[0, 0]
+    gamma = float(unit_norms(gram).max())
+    s_sq = 1.0 + 2.0 * gamma
+    product_res = phi * (1.0 + math.sqrt(s_sq) + 4.0 * s_sq) + s_sq * gamma + phi * phi
+    support_res = projection_residual(sys.support)
+    trace_spread = float(np.ptp([normalized_trace(u[j, j]).real for j in range(k)]))
     return UnitSystemReport(
         k=k,
         ambient_dim=sys.ambient_dim,
@@ -160,8 +169,8 @@ def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSys
         product_residual=product_res,
         support_residual=support_res,
         trace_spread=trace_spread,
-        full=full,
-        passed=passed,
+        full=sys.is_full(cfg),
+        passed=all(r < cfg.structural_tol for r in (adjoint_res, product_res, support_res, trace_spread)),
     )
 
 
@@ -210,10 +219,10 @@ def nested_product(
     dims = {s.ambient_dim for s in chain}
     if len(dims) != 1:
         raise DimensionMismatch(f"chain systems live in different ambient dims: {sorted(dims)}")
-    if len(chain) == 1:
-        return chain[0]
     if not chain[0].is_full(cfg):
         raise SupportMismatch("the first system in a chain must be full")
+    if len(chain) == 1:
+        return chain[0]
     # the composite is the largest array built: each level's product and its
     # middle block (k_acc k_next^2 n^2 entries) are no larger
     _check_units_budget(math.prod(s.k for s in chain), chain[0].ambient_dim)

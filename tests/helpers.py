@@ -5,8 +5,10 @@ unblocked closure engine as the differential reference for generate, and the
 one-swap-at-a-time grouping search as the reference for the batched one,
 the one-stack commutant as the differential reference for the streamed one,
 block patterns and supports from k^2 products with the family's projections
-as the reference for the basis-based ones, and a tracemalloc probe of a
-call's peak allocation; also seeded inputs shared by several test files."""
+as the reference for the basis-based ones, all k^4 unit products as the
+reference for the first-column bound of matrix_units.verify, and a
+tracemalloc probe of a call's peak allocation; also seeded inputs shared by
+several test files."""
 
 import math
 import tracemalloc
@@ -125,6 +127,20 @@ def reference_commutant(a, cfg=DEFAULT_TOL):
     null_mask = svals <= cfg.span_tol * max(1.0, smax)
     elements = math.sqrt(n) * vh[null_mask].conj().reshape(-1, n, n)
     return AlgebraBasis(ambient_dim=n, elements=np.ascontiguousarray(elements))
+
+
+def reference_unit_products(units):
+    """Worst ||e_il e_mj - delta_lm e_ij||_F over all k^4 products of a
+    (k, k, n, n) unit array, one batch of k^2 products per (l, m)."""
+    k = units.shape[0]
+    worst = 0.0
+    for l in range(k):
+        for m in range(k):
+            prods = np.matmul(units[:, l, None], units[m][None])
+            if l == m:
+                prods -= units
+            worst = max(worst, float(np.linalg.norm(prods, axis=(2, 3)).max()))
+    return worst
 
 
 def traced_peak(fn):

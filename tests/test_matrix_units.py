@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finfactor import (
+    DEFAULT_TOL,
     ToleranceConfig,
     amplified_units,
     corner_chain,
@@ -19,9 +20,9 @@ from finfactor import (
 )
 from finfactor.errors import DimensionOverflow, SupportMismatch, SystemTooSmall
 from finfactor.matrix_core import random_unitary
-from finfactor.matrix_units import placed_units
+from finfactor.matrix_units import _outer_residual, placed_units
 
-from helpers import traced_peak
+from helpers import reference_unit_products, traced_peak
 
 
 class TestStandardUnits:
@@ -91,10 +92,26 @@ class TestVerify:
         units = standard_units(3).units.copy()
         units[0, 1] *= 2.0
         units[1, 0] *= 2.0  # now e_12 e_21 = 4 e_11
+        column = units[:, 0]  # c_2 = 2 e_21
+        gram = max(
+            np.linalg.norm(column[l].conj().T @ column[m] - (l == m) * units[0, 0])
+            for l in range(3)
+            for m in range(3)
+        )
+        assert gram == pytest.approx(3.0)  # c_2* c_2 = 4 e_11
+        assert _outer_residual(column, units) == pytest.approx(3.0)  # e_22 - c_2 c_2* = -3 e_22
+        assert reference_unit_products(units) == pytest.approx(3.0)
         rep = verify(system_from_units(units))
         assert not rep.passed
         assert rep.adjoint_residual < 1e-14  # still *-symmetric
-        assert rep.product_residual == pytest.approx(3.0)
+        # the bound at gamma = phi = 3, s^2 = 7: 3 (1 + s + 28) + 21 + 9
+        assert rep.product_residual == pytest.approx(3.0 * (29.0 + 7.0**0.5) + 30.0)
+        assert rep.product_residual >= 3.0
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3, 3), (1, 1, 0, 0)])
+    def test_empty_system_rejected(self, shape):
+        with pytest.raises(SystemTooSmall):
+            system_from_units(np.zeros(shape))
 
     def test_corner_embedding_passes_non_full(self):
         units = np.zeros((2, 2, 3, 3), dtype=complex)
@@ -199,6 +216,15 @@ class TestNestedProduct:
         sys = standard_units(3)
         assert nested_product([sys]) is sys
 
+    def test_single_chain_must_be_full(self):
+        # a corner embedding of M_2 in M_3 is refused alone as in a longer chain
+        corner = np.zeros((2, 2, 3, 3), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                corner[i, j] = unit_matrix(3, i, j)
+        with pytest.raises(SupportMismatch, match="must be full"):
+            nested_product([system_from_units(corner)])
+
     def test_two_level_chain_in_m6(self):
         nested = nested_product(corner_chain([2, 3]))
         rep = verify(nested)
@@ -258,6 +284,51 @@ class TestNestedProduct:
         nested = nested_product(corner_chain([2, 3]))
         expected = tensor_units(standard_units(2), standard_units(3))
         assert np.allclose(nested.units, expected.units)
+
+
+def _perturbed(units, kind, eps, rng):
+    """The units moved by about eps: independent noise on every unit
+    ("noise"), noise that keeps e_ji = e_ij* ("hermitian"), or one off-diagonal
+    pair scaled by 1 + eps ("pair")."""
+    k, n = units.shape[0], units.shape[2]
+    out = units.copy()
+    if kind == "pair":
+        i, j = rng.choice(k, size=2, replace=False)
+        out[i, j] *= 1.0 + eps
+        out[j, i] *= 1.0 + eps
+        return out
+    noise = rng.standard_normal(units.shape)
+    if np.iscomplexobj(units):
+        noise = noise + 1j * rng.standard_normal(units.shape)
+    if kind == "hermitian":
+        noise = noise + noise.conj().transpose(1, 0, 3, 2)
+    return out + eps * noise / np.sqrt(n)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("sizes", [[2, 3], [3, 2], [2, 2], [4], [3, 3]])
+def test_product_bound_holds_on_perturbed_systems(sizes, field):
+    # 5 chains x 2 fields x 2 supports x 3 kinds x 10 eps: 600 systems
+    cfg = DEFAULT_TOL
+    base = nested_product(corner_chain(sizes)).units
+    for support in ("full", "corner"):
+        # the corner copy sits in M_{n+2}, where its support is not the identity
+        units = base if support == "full" else np.pad(base, ((0, 0), (0, 0), (0, 2), (0, 2)))
+        n = units.shape[2]
+        for d, kind in enumerate(("noise", "hermitian", "pair")):
+            for e, eps in enumerate(np.logspace(-12, -1, 10)):
+                rng = np.random.default_rng([*sizes, n, d, e, int(field == "real")])
+                if field == "real":
+                    turn, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    rotated = (turn @ units @ turn.T).real
+                else:
+                    turn = random_unitary(n, rng)
+                    rotated = turn @ units @ turn.conj().T
+                moved = _perturbed(rotated, kind, eps, rng)
+                rep = verify(system_from_units(moved), cfg)
+                exact = reference_unit_products(moved)
+                assert rep.product_residual >= exact, (support, kind, eps)
+                assert not rep.passed or exact < cfg.structural_tol
 
 
 class TestVerifyWithTightTolerance:
