@@ -50,7 +50,7 @@ def _tol(eta=None, structural=1e-8, span=1e-8) -> ToleranceConfig:
 
 # --- deterministic instance builders -------------------------------------------
 
-_SPARSE_BLOCK_CAP = {8: 8, 12: 24}
+_SPARSE_BLOCK_CAP = {4: 1, 8: 8, 12: 24}
 
 
 def sparse_tuples(k: int, count: int, seed: int):

@@ -80,7 +80,9 @@ class CutPasteResult:
     norm_rescale: float
     labels: tuple
     algebra_dim_inputs: int
-    q_algebra: star_algebra.AlgebraBasis  # verified algebra of {q} + units
+    # verified algebra of {q} + units: closed by generate at k < n, M_n from
+    # the units' first-column certificate at k = n
+    q_algebra: star_algebra.AlgebraBasis
 
     @property
     def algebra_dim_output(self) -> int:
@@ -110,9 +112,46 @@ def cut_and_paste(
     norm_rescale), q is assembled by functional calculus, and the result is
     checked: q is a projection within structural_tol, its support trace obeys
     tau(S(q)) <= 2c + 2/k exactly, and {q} + units generates the same algebra
-    as the inputs + units.
+    as the inputs + units. At k < n both algebras are closed by
+    star_algebra.generate and compared. At k = n the units are a basis of
+    M_n, so both algebras are M_n: that is certified from the units' first
+    column in O(k n^2) (_full_algebra_of_units), with no closure; a unit off
+    the first column is not read here.
     """
     return _cut_and_paste(xs, sys, family_from_units(sys, cfg), cfg)
+
+
+def _full_algebra_of_units(sys, fam, cfg) -> star_algebra.AlgebraBasis:
+    """M_n, certified as the algebra generated by any set that holds the
+    units of a size-n system in M_n, from the system's first column alone.
+
+    At k = n each run of fam is one vector b_i = e_i1 v, and
+    family_from_units has checked that B = [b_1 ... b_n] is unitary:
+    eps = ||B*B - I||_F <= structural_tol. This certificate requires
+    delta = max_i ||e_i1 - b_i b_1*||_F <= structural_tol as well, in
+    O(k n^2), or raises NumericalFailure. Then for every i, j
+
+        e_i1 e_j1* - b_i b_j* = (e_i1 - b_i b_1*) e_j1*
+            + b_i b_1* (e_j1 - b_j b_1*)* + b_i (b_1* b_1 - 1) b_j*,
+
+    at most 2 delta + eps + O(structural_tol^2) in Frobenius norm. The
+    b_i b_j* have Gram matrix (B*B) (x) conj(B*B), within eps of the
+    identity: they are a basis of M_n, orthonormal when B is unitary. The
+    n^2 products e_i1 e_j1*, each within about 3 structural_tol of one of
+    them, are a basis too while n times that distance stays below one
+    (n <= 256 at structural_tol 1e-8). An algebra that holds the units holds
+    these products, so it is all of M_n. The units off the first column are
+    not read: a fault there is left to the checks that use them."""
+    b = fam.basis.T  # row i is b_i
+    residual = float(np.linalg.norm(
+        sys.units[:, 0] - b[:, :, None] * b[0].conj(), axis=(1, 2)
+    ).max())
+    if residual > cfg.structural_tol:
+        raise NumericalFailure(
+            f"units fail the first-column certificate of M_{sys.ambient_dim}: "
+            f"residual {residual:.3e}"
+        )
+    return star_algebra.full_matrix_basis(sys.ambient_dim)
 
 
 def _cut_and_paste(xs, sys, fam, cfg) -> CutPasteResult:
@@ -165,8 +204,11 @@ def _cut_and_paste(xs, sys, fam, cfg) -> CutPasteResult:
             f"support trace {trace} violates the 2c + 2/k bound (m={m}, T={T})"
         )
 
-    before = star_algebra.generate(list(tup.elements) + sys.unit_list(), cfg)
-    after = star_algebra.generate([q] + sys.unit_list(), cfg)
+    if k == n:
+        before = after = _full_algebra_of_units(sys, fam, cfg)
+    else:
+        before = star_algebra.generate(list(tup.elements) + sys.unit_list(), cfg)
+        after = star_algebra.generate([q] + sys.unit_list(), cfg)
     if not star_algebra.equal(before, after, cfg):
         raise NumericalFailure(
             f"algebra equality failed: inputs+units dim {before.dim}, q+units dim {after.dim}"

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, SupportMismatch, SystemTooSmall
 from .matrix_core import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _working_field,
     check_array_budget,
     check_dimension_cap,
     frobenius_norm,
@@ -121,23 +120,37 @@ class UnitSystemReport:
         return asdict(self)
 
 
-def _outer_residual(column: np.ndarray, units: np.ndarray) -> float:
+def _max_norm(slabs) -> float:
+    """Largest Frobenius norm of the (n, n) matrices in an iterable of
+    (k, n, n) slabs, which are read one at a time."""
+    return max(float(np.linalg.norm(slab, axis=(1, 2)).max()) for slab in slabs)
+
+
+def _outer_residual(column: np.ndarray, units: np.ndarray, field=np.asarray) -> float:
     """max over i, j of ||e_ij - c_i c_j*||_F for a (k, n, n) first column c
-    and (k, k, n, n) units e, through one batched product of the k^2 pairs."""
-    outer = column[:, None] @ column.conj().transpose(0, 2, 1)[None]
-    outer -= units
-    return float(np.linalg.norm(outer, axis=(2, 3)).max())
+    and (k, k, n, n) units e, one batched product of the k pairs (i, j) per
+    row i, so one (k, n, n) slab is held at a time. field maps a row of e
+    to the field of c."""
+    column_h = column.conj().transpose(0, 2, 1)
+
+    def rows():
+        for c_i, row in zip(column, units):
+            outer = c_i @ column_h
+            outer -= field(row)
+            yield outer
+
+    return _max_norm(rows())
 
 
 def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSystemReport:
     """Check the matrix-unit axioms within structural_tol, reporting residuals.
 
     A system is fixed by its first column c_i = e_i1, so the product axiom is
-    checked by two relations of that column, one batched product each, in
-    O(k^2 n^3): gamma = max ||G_lm||_F for G_lm = c_l* c_m - delta_lm e_11,
-    and phi = max ||F_ij||_F for F_ij = e_ij - c_i c_j*. product_residual is
-    P = phi (1 + s + 4 s^2) + s^2 gamma + phi^2 with s^2 = 1 + 2 gamma, which
-    bounds every ||e_il e_mj - delta_lm e_ij||_F. Proof, with ||.|| <= ||.||_F
+    checked by two relations of that column, one batched product per row
+    each, in O(k^2 n^3): gamma = max ||G_lm||_F for G_lm = c_l* c_m -
+    delta_lm e_11, and phi = max ||F_ij||_F for F_ij = e_ij - c_i c_j*.
+    product_residual is P = phi (1 + s + 4 s^2) + s^2 gamma + phi^2 with
+    s^2 = 1 + 2 gamma, which bounds every ||e_il e_mj - delta_lm e_ij||_F. Proof, with ||.|| <= ||.||_F
     the operator norm and ||AB||_F <= ||A|| ||B||_F, ||A||_F ||B||: ||e_11||^2
     = ||c_1* c_1|| <= ||e_11|| + gamma gives ||e_11|| <= 1 + gamma, so
     ||c_i||^2 <= s^2; e_il e_mj - delta_lm e_ij = c_i G_lm c_j* + c_i c_l* F_mj
@@ -147,21 +160,33 @@ def verify(sys: MatrixUnitSystem, cfg: ToleranceConfig = DEFAULT_TOL) -> UnitSys
     -F_ij - F_i1 c_j* + c_i (F_11 - F_11*) c_j*, at most phi (1 + s + 2 s^2).
     The adjoint axiom, e_ij* - e_ji = F_ij* - F_ji, is still measured directly.
 
-    Units whose imaginary parts are all exactly zero are checked in float64,
-    where a product costs a quarter of a complex one."""
-    k, u = sys.k, _working_field(sys.units)
-    unit_norms = partial(np.linalg.norm, axis=(2, 3))
-    adjoint_res = float(unit_norms(u - u.conj().transpose(1, 0, 3, 2)).max())
+    All three checks run over the rows of the system, one (k, n, n) slab at
+    a time, so beside the units no more than a few slabs are held. Units
+    whose imaginary parts are all exactly zero are checked in float64, where
+    a product costs a quarter of a complex one: the first column is copied
+    to float64 once, and every other slab is read through its real view."""
+    k, units = sys.k, sys.units
+    real = np.iscomplexobj(units) and not units.imag.any()
+    field = (lambda slab: slab.real) if real else np.asarray
 
-    column = u[:, 0]
-    phi = _outer_residual(column, u)
-    gram = column.conj().transpose(0, 2, 1)[:, None] @ column[None]  # [l, m] = c_l* c_m
-    gram[np.arange(k), np.arange(k)] -= u[0, 0]
-    gamma = float(unit_norms(gram).max())
+    adjoint_res = _max_norm(
+        field(units[i]) - field(units[:, i]).conj().transpose(0, 2, 1) for i in range(k)
+    )
+    column = np.ascontiguousarray(field(units[:, 0]))
+    phi = _outer_residual(column, units, field)
+    column_h = column.conj().transpose(0, 2, 1)
+
+    def gram_rows():
+        for l in range(k):
+            gram = column_h[l] @ column  # [m] = c_l* c_m
+            gram[l] -= column[0]
+            yield gram
+
+    gamma = _max_norm(gram_rows())
     s_sq = 1.0 + 2.0 * gamma
     product_res = phi * (1.0 + math.sqrt(s_sq) + 4.0 * s_sq) + s_sq * gamma + phi * phi
     support_res = projection_residual(sys.support)
-    trace_spread = float(np.ptp([normalized_trace(u[j, j]).real for j in range(k)]))
+    trace_spread = float(np.ptp([normalized_trace(field(units[j, j])).real for j in range(k)]))
     return UnitSystemReport(
         k=k,
         ambient_dim=sys.ambient_dim,

@@ -27,9 +27,10 @@ from finfactor.errors import (
     NumericalFailure,
     SupportTooLarge,
 )
-from finfactor import compression, star_algebra
+from finfactor import acceptance, compression, star_algebra
 from finfactor.cli import main
-from finfactor.matrix_core import projection_residual, random_matrix, save_matrix
+from finfactor.matrix_core import projection_residual, random_matrix, random_unitary, save_matrix
+from finfactor.matrix_units import system_from_units
 from finfactor.sparsity import family_from_units, support_mask
 
 from helpers import two_block_element
@@ -117,6 +118,47 @@ class TestCutAndPaste:
         assert res.block_count == 2
         assert res.algebra_dim_inputs == res.algebra_dim_output
         assert res.algebra_dim_inputs > generate(sys.unit_list()).dim
+
+
+def _turned(sys, tup, seed):
+    """A unit system and a tuple conjugated by one seeded Haar unitary: dense
+    matrices, sparse against the turned units exactly as before."""
+    u = random_unitary(sys.ambient_dim, np.random.default_rng(seed))
+    units = u @ sys.units @ u.conj().T
+    return system_from_units(units), [u @ x @ u.conj().T for x in tup.elements]
+
+
+class TestFullSystemCertificate:
+    """cut_and_paste at k = n, where both algebras are M_n by the units'
+    first-column certificate, against the closure route it replaces."""
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_same_dims_as_the_closure_route(self, k):
+        cfg = ToleranceConfig(span_tol=1e-6)
+        sys = standard_units(k)
+        for i, tup in enumerate(acceptance.sparse_tuples(k, 6, seed=29)):
+            for units, xs in ((sys, list(tup.elements)), _turned(sys, tup, seed=100 * k + i)):
+                res = cut_and_paste(xs, units, cfg)
+                before = generate(xs + units.unit_list(), cfg)
+                after = generate([res.q] + units.unit_list(), cfg)
+                assert res.algebra_dim_inputs == before.dim == k * k
+                assert res.algebra_dim_output == after.dim == k * k
+
+    def test_perturbed_first_column_unit_raises(self):
+        units = standard_units(8).units.copy()
+        units[3, 0, 0, 5] += 1e-6  # e_41 v is unchanged, so the family passes
+        with pytest.raises(NumericalFailure, match="first-column certificate"):
+            cut_and_paste([sparse_element(8, [(2, 3)])], system_from_units(units))
+
+    def test_perturbed_off_column_unit_is_left_to_the_pair(self):
+        units = standard_units(8).units.copy()
+        units[2, 3, 0, 5] += 1e-6
+        sys = system_from_units(units)
+        x = sparse_element(8, [(2, 3)])
+        res = cut_and_paste([x], sys)
+        assert res.algebra_dim_inputs == res.algebra_dim_output == 64
+        with pytest.raises(NumericalFailure, match=r"\[single_generator_pair\] pair fails its word"):
+            pipeline([x], sys)
 
 
 class TestRecoverElements:
@@ -282,9 +324,8 @@ class TestPipeline:
         assert stage1.bounds["block_count"] == 23
         assert stage1.algebra_dims == {"before": 144, "after": 144}
 
-    def test_reuses_the_verified_q_algebra(self, monkeypatch):
-        # inputs+units and q+units, one closure each and one equality check;
-        # the pair and the fused element are certified by words instead
+    @staticmethod
+    def _count_algebra_calls(monkeypatch):
         calls = {"generate": 0, "equal": 0}
 
         def counting(name):
@@ -298,9 +339,23 @@ class TestPipeline:
 
         for name in calls:
             monkeypatch.setattr(star_algebra, name, counting(name))
+        return calls
+
+    def test_reuses_the_verified_q_algebra(self, monkeypatch):
+        # at k = n the units' first column certifies M_n with no closure and
+        # one equality check; the pair and the fused element are certified by
+        # words instead
+        calls = self._count_algebra_calls(monkeypatch)
         rep = pipeline([sparse_element(8, [(2, 3)])], standard_units(8))
-        assert calls == {"generate": 2, "equal": 1}
+        assert calls == {"generate": 0, "equal": 1}
         assert [s.algebra_dims for s in rep.stages] == [{"before": 64, "after": 64}] * 3
+
+    def test_closes_both_algebras_below_full_size(self, monkeypatch):
+        # at k < n inputs+units and q+units are closed once each
+        calls = self._count_algebra_calls(monkeypatch)
+        rep = pipeline([two_block_element()], amplified_units(8, 2))
+        assert calls == {"generate": 2, "equal": 1}
+        assert [s.algebra_dims for s in rep.stages] == [{"before": 256, "after": 256}] * 3
 
     def test_builds_the_projection_family_once(self, monkeypatch):
         calls = []

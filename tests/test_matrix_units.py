@@ -127,6 +127,25 @@ class TestVerify:
         rep = verify(system_from_units(units))
         assert rep.adjoint_residual > 0.5
 
+    @pytest.mark.parametrize("v", [1e-3, 1e-3j])
+    def test_last_row_is_read_by_every_check(self, v):
+        # verify reads the units one row at a time; each defect here is seen
+        # by the last row of its check alone
+        def product_bound(gamma, phi):
+            s_sq = 1.0 + 2.0 * gamma
+            return phi * (1.0 + s_sq**0.5 + 4.0 * s_sq) + s_sq * gamma + phi * phi
+
+        units = standard_units(4).units.copy()
+        units[3, 3, 3, 0] += v  # e_44 + v E_41: adjoint and outer residuals
+        rep = verify(system_from_units(units))
+        assert rep.adjoint_residual == pytest.approx(2**0.5 * 1e-3)
+        assert rep.product_residual == pytest.approx(product_bound(0.0, 1e-3))
+
+        units = standard_units(4).units.copy()
+        units[3, 0, 3, 1] += v  # c_4 = E_41 + v E_42: G_44 = v E_12 + v* E_21 + |v|^2 E_22
+        rep = verify(system_from_units(units))
+        assert rep.product_residual == pytest.approx(product_bound((2e-6 + 1e-12) ** 0.5, 1e-3))
+
 
 class TestShiftPair:
     def test_smallest_case(self):
