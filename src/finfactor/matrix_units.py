@@ -288,13 +288,21 @@ def placed_units(
 ) -> MatrixUnitSystem:
     """System of size sizes[level] in M_{prod(sizes)} with units
     pre(sizes[0]) (x) ... (x) pre(sizes[level-1]) (x) e_st (x) I (x) ... (x) I:
-    every factor before the level holds the fixed matrix pre(size)."""
+    every factor before the level holds the fixed matrix pre(size).
+
+    With h x h head = pre(sizes[0]) (x) ... (x) pre(sizes[level-1]) and tail
+    size t, entry (a, s', r), (b, u', r') of e_su is head[a, b] when s' = s,
+    u' = u and r' = r, else 0. The zero array is written once, through the
+    view of those entries, so the only arrays built are the units and the
+    head (at most n x n); no Kronecker product of the units is formed."""
     m = sizes[level]
-    _check_units_budget(m, math.prod(sizes))
+    n = math.prod(sizes)
+    _check_units_budget(m, n)
     head = reduce(np.kron, [pre(d) for d in sizes[:level]], np.ones((1, 1), dtype=np.complex128))
-    tail = identity(int(np.prod(sizes[level + 1 :])))
-    units = np.kron(np.kron(head[None, None], standard_units(m).units), tail[None, None])
-    return MatrixUnitSystem(ambient_dim=units.shape[2], k=m, units=units)
+    h, t = head.shape[0], math.prod(sizes[level + 1 :])
+    units = np.zeros((m, m, h, m, t, h, m, t), dtype=np.complex128)
+    np.einsum("suasrbur->suarb", units)[...] = head[:, None, :]
+    return MatrixUnitSystem(ambient_dim=n, k=m, units=units.reshape(m, m, n, n))
 
 
 def corner_chain(sizes: list[int]) -> list[MatrixUnitSystem]:

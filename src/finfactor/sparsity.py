@@ -543,8 +543,8 @@ def hyperfinite_pair(
     """
     dims = check_tower_dims(dims)
     w1, w2 = weights
-    if not (0.0 < abs(w1) and 0.0 < abs(w2)):
-        raise ValueError("weights must be nonzero")
+    if not all(np.isfinite(w) and w != 0 for w in (w1, w2)):
+        raise ValueError(f"weights must be finite and nonzero, got ({w1}, {w2})")
     m = len(dims)
 
     corners = corner_chain(dims)

@@ -314,11 +314,13 @@ def _wedderburn_split(stack: np.ndarray, tol: float) -> "_SplitBasis":
     multiplicity-free blocks and one remainder.
 
     The letters are the nonzero generators scaled to unit Frobenius norm,
-    and their adjoints. Each step takes v from _isolated_vector. The
-    spectral projection of a simple eigenvalue is a polynomial in its part,
-    so vv* lies in A. Then W = A.v reduces A, and uw* = a vv* b* lies in A
-    for all u = av and w = bv in W, so A holds all of L(W) and the
-    projection onto W is central in A: A = M_d (+) A|W-perp with d = dim W.
+    and their adjoints; a letter equal to its adjoint entry for entry is
+    applied once in the spin-up and in the block check. Each step takes v
+    from _isolated_vector. The spectral projection of a simple eigenvalue is
+    a polynomial in its part, so vv* lies in A. Then W = A.v reduces A, and
+    uw* = a vv* b* lies in A for all u = av and w = bv in W, so A holds all
+    of L(W) and the projection onto W is central in A: A = M_d (+) A|W-perp
+    with d = dim W.
     (Burnside's theorem run as Norton's irreducibility test: R. A. Parker,
     "The computer calculation of modular characters (the Meat-Axe)", 1984;
     D. F. Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994. The block
@@ -360,7 +362,10 @@ def _wedderburn_split(stack: np.ndarray, tol: float) -> "_SplitBasis":
         if found is None:
             break
         gap, v = found
-        both = np.concatenate([letters, adjoints])
+        # a self-adjoint letter is applied once: its adjoint's candidates
+        # would repeat its own, and a repeat is never admitted
+        own = (letters != adjoints).any(axis=(1, 2))
+        both = np.concatenate([letters, adjoints[own]])
         # R @ letters_t[l] applies letter l to every row of R
         Q, worst = _spin_up(both.transpose(0, 2, 1), v, bar)
         if len(Q) < r:

@@ -6,12 +6,14 @@ one-swap-at-a-time grouping search as the reference for the batched one,
 the one-stack commutant as the differential reference for the streamed one,
 block patterns and supports from k^2 products with the family's projections
 as the reference for the basis-based ones, all k^4 unit products as the
-reference for the first-column bound of matrix_units.verify, and a
+reference for the first-column bound of matrix_units.verify, the
+Kronecker chain as the reference for matrix_units.placed_units, and a
 tracemalloc probe of a call's peak allocation; also seeded inputs shared by
 several test files."""
 
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 
@@ -141,6 +143,17 @@ def reference_unit_products(units):
                 prods -= units
             worst = max(worst, float(np.linalg.norm(prods, axis=(2, 3)).max()))
     return worst
+
+
+def reference_placed_units(sizes, level, pre):
+    """(k, k, n, n) units pre(sizes[0]) (x) ... (x) pre(sizes[level-1]) (x)
+    e_st (x) I (x) ... (x) I of placed_units, from two Kronecker products of
+    the head, the standard units of M_k and the tail identity."""
+    k = sizes[level]
+    head = reduce(np.kron, [pre(d) for d in sizes[:level]], np.ones((1, 1), dtype=complex))
+    standard = np.eye(k * k, dtype=complex).reshape(k, k, k, k)
+    tail = np.eye(math.prod(sizes[level + 1 :]), dtype=complex)
+    return np.kron(np.kron(head[None, None], standard), tail[None, None])
 
 
 def traced_peak(fn):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from finfactor.errors import DimensionOverflow, SupportMismatch, SystemTooSmall
 from finfactor.matrix_core import random_unitary
 from finfactor.matrix_units import _outer_residual, placed_units
 
-from helpers import reference_unit_products, traced_peak
+from helpers import reference_placed_units, reference_unit_products, traced_peak
 
 
 class TestStandardUnits:
@@ -85,6 +87,41 @@ def test_kronecker_builders_are_byte_identical_to_loops(k):
         2 * k, lambda r, c: np.kron(a.units[r // k, c // k], b.units[r % k, c % k])
     )
     assert tensor_units(a, b).units.tobytes() == loop.tobytes()
+
+
+_PLACED_SIZES = [[1], [3], [2, 2], [3, 2], [2, 5], [4, 3], [3, 3, 3], [2, 3, 4], [2, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("sizes", _PLACED_SIZES, ids=str)
+@pytest.mark.parametrize(
+    "pre", [identity, partial(unit_matrix, i=1, j=1)], ids=["identity", "corner"]
+)
+def test_placed_units_are_byte_identical_to_the_kronecker_chain(sizes, pre):
+    for level in range(len(sizes)):
+        sys = placed_units(sizes, level, pre)
+        assert sys.k == sizes[level] and sys.ambient_dim == np.prod(sizes)
+        assert sys.units.tobytes() == reference_placed_units(sizes, level, pre).tobytes()
+
+
+def test_placed_units_match_the_kronecker_chain_for_a_complex_head():
+    # equal values, not bytes: where the chain multiplies a head entry with a
+    # negative part by 0 it writes -0.0, and the builder writes the zero of
+    # its zero array; both compare equal
+    rng = np.random.default_rng(30)
+    heads = {d: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 3, 4)}
+    for sizes in ([2, 3], [3, 2, 2], [4, 2, 3]):
+        for level in range(len(sizes)):
+            got = placed_units(sizes, level, heads.get).units
+            assert np.array_equal(got, reference_placed_units(sizes, level, heads.get))
+
+
+def test_corner_chain_holds_no_kronecker_temporaries():
+    # the systems are written once into their final arrays; the Kronecker
+    # chain held a product of the head with the standard units beside them
+    # (1.51 times the returned bytes at [6, 6])
+    kept = []
+    peak = traced_peak(lambda: kept.append(corner_chain([6, 6])))
+    assert peak <= 1.05 * sum(sys.units.nbytes for sys in kept[0])
 
 
 class TestVerify:

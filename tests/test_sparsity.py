@@ -497,14 +497,25 @@ class TestHyperfinitePair:
         x2 = sum(w2 ** L * at(L, shift(dims[L]), corner) for L in range(m))
 
         got1, got2, tower = hyperfinite_pair(dims, weights=(w1, w2))
-        assert np.array_equal(got1, x1)
-        assert np.array_equal(got2, x2)
+        assert got1.tobytes() == x1.tobytes()
+        assert got2.tobytes() == x2.tobytes()
         assert [sys.k for sys in tower] == dims
         for L, sys in enumerate(tower):
             d = dims[L]
             for i in range(d):
                 for j in range(d):
-                    assert np.array_equal(sys.units[i, j], at(L, unit_matrix(d, i, j), identity))
+                    assert sys.units[i, j].tobytes() == at(L, unit_matrix(d, i, j), identity).tobytes()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(np.inf, 0.5), (0.5, -np.inf), (np.nan, 0.5), (0.5, np.nan), (0.5, 0.0)],
+        ids=["inf", "-inf", "nan-w1", "nan-w2", "zero"],
+    )
+    def test_weight_must_be_finite_and_nonzero(self, weights):
+        # an infinite weight used to return an x1 full of NaN, behind a
+        # RuntimeWarning from inf * 0, and a NaN one was called zero
+        with pytest.raises(ValueError, match=r"weights must be finite and nonzero, got \("):
+            hyperfinite_pair([3, 3], weights=weights)
 
 
 class TestFamilyValidation:

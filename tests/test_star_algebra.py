@@ -850,6 +850,31 @@ def test_certified_sets_take_the_top_level_path_alone(monkeypatch):
         assert generate(gens).dim == n * n
 
 
+def test_spin_up_applies_a_self_adjoint_letter_once(monkeypatch):
+    # the adjoint of a letter that is Hermitian entry for entry would only repeat
+    # its candidates; a letter that is not keeps its adjoint, after all letters
+    spin_up, seen = star_algebra._spin_up, []
+
+    def recorded(letters_t, v, bar):
+        seen.append(letters_t.transpose(0, 2, 1).copy())
+        return spin_up(letters_t, v, bar)
+
+    monkeypatch.setattr(star_algebra, "_spin_up", recorded)
+    t1, t2, _ = hyperfinite_pair([4, 3])
+    assert generate([t1, t2]).dim == 144
+    assert [len(letters) for letters in seen] == [2]
+
+    rng = np.random.default_rng(30)
+    gens = [random_hermitian(5, rng), random_matrix(5, rng), random_hermitian(5, rng), random_matrix(5, rng)]
+    seen.clear()
+    assert generate(gens).dim == 25
+    letters = seen[0]
+    assert len(letters) == 6
+    assert np.allclose(letters[:4], [g / np.linalg.norm(g) for g in gens], rtol=0, atol=1e-15)
+    for extra, own in zip(letters[4:], (1, 3)):
+        assert np.array_equal(extra, letters[own].conj().T)
+
+
 def test_only_multiplicity_reaches_the_engine(monkeypatch):
     sets = _declined_sets()
     engine, calls = star_algebra._span_closure, []
