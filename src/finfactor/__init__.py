@@ -9,7 +9,6 @@ claim verified numerically.
 
 from .matrix_core import (
     DEFAULT_TOL,
-    StructuralFlags,
     ToleranceConfig,
     dimension_cap,
     direct_sum,
@@ -22,8 +21,6 @@ from .matrix_core import (
     normalized_trace,
     operator_norm,
     save_matrix,
-    structural_checks,
-    tensor_product,
     unit_matrix,
 )
 from .star_algebra import AlgebraBasis, commutant, contains, equal, full_matrix_basis, generate

@@ -1,5 +1,5 @@
 """Dense complex matrix substrate: normalized trace, functional calculus,
-tensor/direct sums, structural checks, and the JSON matrix file format.
+direct sums, structural residuals, and the JSON matrix file format.
 
 All matrices are square ``numpy.ndarray`` values of dtype complex128. The only
 trace exposed is the normalized one (Tr/n), so statements like tau(p) = 1/k are
@@ -49,13 +49,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-@dataclass(frozen=True)
-class StructuralFlags:
-    self_adjoint: bool
-    projection: bool
-    unitary: bool
 
 
 def dimension_cap() -> int:
@@ -204,17 +197,6 @@ def sqrt_clipped(t: float) -> float:
     return math.sqrt(t) if t > 0.0 else 0.0
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """Kronecker product; tau is multiplicative across the factors."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    cap = dimension_cap() if cap is None else cap
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > cap:
-        raise DimensionOverflow(f"product dimension {out_dim} exceeds cap {cap}")
-    return np.kron(a, b)
-
-
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block-diagonal assembly; tau is the dimension-weighted average."""
     a = as_matrix(a)
@@ -224,14 +206,6 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:na, :na] = a
     out[na:, na:] = b
     return out
-
-
-def structural_checks(x: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> StructuralFlags:
-    x = as_matrix(x)
-    sa = self_adjoint_residual(x) < cfg.structural_tol
-    proj = sa and frobenius_norm(x @ x - x) < cfg.structural_tol
-    uni = frobenius_norm(x.conj().T @ x - identity(x.shape[0])) < cfg.structural_tol
-    return StructuralFlags(self_adjoint=sa, projection=proj, unitary=uni)
 
 
 def projection_residual(x: np.ndarray) -> float:

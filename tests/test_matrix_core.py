@@ -14,8 +14,6 @@ from finfactor import (
     normalized_trace,
     operator_norm,
     save_matrix,
-    structural_checks,
-    tensor_product,
     unit_matrix,
 )
 from finfactor.errors import (
@@ -27,9 +25,11 @@ from finfactor.errors import (
 from finfactor.matrix_core import (
     as_matrix,
     check_array_budget,
+    projection_residual,
     random_hermitian,
     random_matrix,
     random_unitary,
+    self_adjoint_residual,
 )
 
 
@@ -95,32 +95,6 @@ class TestHermitianFunction:
 
 
 class TestTensorAndDirectSum:
-    def test_tensor_identities(self):
-        assert np.array_equal(tensor_product(identity(2), identity(3)), identity(6))
-
-    def test_tensor_trace_multiplicative(self):
-        x = tensor_product(unit_matrix(2, 0, 0), unit_matrix(2, 0, 0))
-        assert normalized_trace(x) == pytest.approx(0.25)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(6)
-        a, b, c, d = (random_matrix(2, rng) for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        assert frobenius_norm(lhs - rhs) < 1e-12
-
-    def test_tensor_associative_exact_on_integers(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.array_equal(left, right)
-
-    def test_tensor_cap(self, monkeypatch):
-        monkeypatch.setenv("FINFACTOR_DIM_CAP", "8")
-        with pytest.raises(DimensionOverflow):
-            tensor_product(identity(3), identity(3))
-
     def test_direct_sum_identities(self):
         assert np.array_equal(direct_sum(identity(2), identity(3)), identity(5))
 
@@ -137,20 +111,28 @@ class TestTensorAndDirectSum:
 
 
 class TestStructuralChecks:
+    # the residuals compression and matrix_units check projections and
+    # self-adjoint elements by; unitarity is read off frobenius_norm
+    @staticmethod
+    def _flags(x):
+        tol = DEFAULT_TOL.structural_tol
+        return (
+            self_adjoint_residual(x) < tol,
+            projection_residual(x) < tol,
+            frobenius_norm(x.conj().T @ x - identity(x.shape[0])) < tol,
+        )
+
     def test_rank_one_projection(self):
-        flags = structural_checks(unit_matrix(3, 0, 0))
-        assert (flags.self_adjoint, flags.projection, flags.unitary) == (True, True, False)
+        assert self._flags(unit_matrix(3, 0, 0)) == (True, True, False)
 
     def test_identity_all_three(self):
-        flags = structural_checks(identity(3))
-        assert (flags.self_adjoint, flags.projection, flags.unitary) == (True, True, True)
+        assert self._flags(identity(3)) == (True, True, True)
 
     def test_cyclic_shift_unitary_only(self):
         perm = np.zeros((4, 4), dtype=complex)
         for i in range(4):
             perm[i, (i + 1) % 4] = 1.0
-        flags = structural_checks(perm)
-        assert (flags.self_adjoint, flags.projection, flags.unitary) == (False, False, True)
+        assert self._flags(perm) == (False, False, True)
 
 
 class TestOperatorNorm:

@@ -1056,10 +1056,22 @@ def test_commutant_matches_reference_on_both_sides_of_the_bar(delta):
         assert equal(c, ref) and equal(cc, ref2)
 
 
+def _shift_pair_peak(gens):
+    c = commutant(gens)
+    assert (c.route, c.dim) == ("eigenspaces", 1)
+    return traced_peak(lambda: commutant(gens))
+
+
 def test_commutant_peak_on_the_shift_pair_at_k_20():
-    # the complex stack over g and g* peaked at 17.3 MiB
-    gens = list(shift_pair(standard_units(20)))
-    assert traced_peak(lambda: commutant(gens)) < 11 * 2**20
+    # the complex stack over g and g* peaked at 17.3 MiB, the full fold in
+    # real coordinates at 7.5 MiB; solved in the eigenspaces of h, 0.24 MiB
+    assert _shift_pair_peak(list(shift_pair(standard_units(20)))) < 0.5 * 2**20
+
+
+def test_commutant_peak_on_the_hidden_shift_pair_at_k_20():
+    # 7.5 MiB on the full fold, 0.30 MiB in the eigenspaces of h
+    gens = _hidden(list(shift_pair(standard_units(20))), np.random.default_rng(20))
+    assert _shift_pair_peak(gens) < 0.5 * 2**20
 
 
 def test_exactly_zero_parts_are_not_folded(monkeypatch):
@@ -1088,6 +1100,154 @@ def test_exactly_zero_parts_are_not_folded(monkeypatch):
     assert (c.dim, rows) == (2, 2 * N)
     assert folded_rows(c)[1] == 2 * N
     assert folded_rows(hidden)[1] == 4 * N
+
+
+# --- commutant in the eigenspaces of one Hermitian element ---------------------
+
+
+def _four_block_pair():
+    """Two generators u (+ four seeded 8 x 8 blocks) u* with a seeded Haar
+    u, as in CI: commutant C^4, G'' of dim 4 * 8^2."""
+    rng = np.random.default_rng(32)
+    u = random_unitary(32, rng)
+    gens = []
+    for _ in range(2):
+        x = np.zeros((32, 32), dtype=complex)
+        for b in range(0, 32, 8):
+            x[b : b + 8, b : b + 8] = random_matrix(8, rng)
+        gens.append(u @ x @ u.conj().T)
+    return gens
+
+
+def _hidden_tower(dims, seed):
+    x1, x2, _ = hyperfinite_pair(dims)
+    return _hidden([x1, x2], np.random.default_rng(seed))
+
+
+def _multiplicity_sets():
+    """name -> (Haar-hidden generators whose h has repeated eigenvalues or
+    whose commutant is not the scalars, dims of both G'' steps)."""
+    return {
+        "amplified_units_4_3": (
+            _hidden(amplified_units(4, 3).unit_list(), np.random.default_rng(25)), (9, 16)),
+        "four_blocks_n32": (_four_block_pair(), (4, 256)),
+        "tower_3_3_3": (_hidden_tower([3, 3, 3], 33), (1, 729)),
+        "tower_4_4": (_hidden_tower([4, 4], 44), (1, 256)),
+        "tower_5_3": (_hidden_tower([5, 3], 53), (1, 225)),
+        "a_a_b": (_hidden_sums()["a_a_b"][0], (5, 13)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_multiplicity_sets()))
+def test_eigenspace_route_on_hidden_multiplicity(name):
+    gens, dims = _multiplicity_sets()[name]
+    c = commutant(gens)
+    cc = commutant(c)
+    assert (c.dim, cc.dim) == dims
+    assert c.route == "eigenspaces" and c.unknowns < c.ambient_dim**2 / 2
+    if c.dim > 1:  # else G'' is M_n, from the scalar set
+        assert cc.route == "eigenspaces"
+    for basis in (c, cc):
+        assert _exactly_hermitian(basis) and _tau_gram_defect(basis) <= 1e-12
+    if c.ambient_dim <= 16:
+        ref = reference_commutant(gens)
+        ref2 = reference_commutant(ref)
+        assert (ref.dim, ref2.dim) == dims
+        assert equal(c, ref) and equal(cc, ref2)
+
+
+def test_eigenspace_route_matches_reference_on_the_corpora(monkeypatch):
+    # the route forced on at n = 2..6, below its crossover: both G'' steps
+    # of the 6000 sets against the one-stack reference
+    corpus = _corpus()  # built on the default routes first
+    monkeypatch.setattr(star_algebra, "_EIGENSPACE_MIN_N", 2)
+    differ, defects, routes = [], [], {"eigenspaces": 0, "full": 0, None: 0}
+    for key, n, gens, _ in corpus:
+        c, ref = commutant(gens), reference_commutant(gens)
+        cc, ref2 = commutant(c), reference_commutant(ref)
+        for basis in (c, cc):
+            routes[getattr(basis, "route", None)] += 1
+        if (c.dim, cc.dim) != (ref.dim, ref2.dim) or not (equal(c, ref) and equal(cc, ref2)):
+            differ.append((key, n, c.dim, ref.dim, cc.dim, ref2.dim))
+        if not (_exactly_hermitian(c) and _exactly_hermitian(cc)):
+            differ.append((key, "not Hermitian"))
+        defects.append(max(_tau_gram_defect(c), _tau_gram_defect(cc)))
+    assert differ == []
+    assert max(defects) <= 1e-12
+    assert routes["eigenspaces"] >= 5000, routes
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_eigenspace_route_on_weakly_coupled_pairs(delta):
+    # a (+) d coupled at delta beside an exact M_4 block, at n = 8: the
+    # route takes or declines each, and the dims and spans are the full
+    # fold's on both sides of the bar
+    rng = np.random.default_rng(34)
+    for trial in range(6):
+        exact = [np.diag([10.0, 30.0, 50.0, 70.0]), _cgauss(rng, (4, 4))]
+        gens = _weakly_coupled(delta, rng, exact)
+        if trial % 2:
+            gens = _hidden(gens, rng)
+        c, ref = commutant(gens), reference_commutant(gens)
+        cc, ref2 = commutant(c), reference_commutant(ref)
+        assert (c.dim, cc.dim) == (ref.dim, ref2.dim)
+        assert equal(c, ref) and equal(cc, ref2)
+
+
+def test_eigenspace_route_declines_inside_its_window(monkeypatch):
+    # the coupling's singular value is under the bar in the full stack and
+    # above it in the restricted one: counted in the eigenspaces alone, the
+    # commutant would have dim 2. The window starts at the bar and reaches
+    # past twice the bar (K > 2, since the cluster gap is at most the spread
+    # of h, at most sbar), so a restricted singular value in (bar, 2 bar] is
+    # in it
+    rng = np.random.default_rng(31)
+    exact = [np.diag([10.0, 30.0, 50.0, 70.0]), _cgauss(rng, (4, 4))]
+    gens = _weakly_coupled(1e-8, rng, exact)
+    null_rows, solved = star_algebra._null_rows, []
+
+    def recorded(R, tol):
+        found = null_rows(R, tol)
+        solved.append((R.shape[0], np.linalg.svd(R, compute_uv=False), found[1]))
+        return found
+
+    monkeypatch.setattr(star_algebra, "_null_rows", recorded)
+    c = commutant(gens)
+    (width, svals, bar), (full_width, _, _) = solved
+    assert width < 64 == full_width
+    assert ((svals > bar) & (svals <= 2 * bar)).any()
+    assert c.route == "full"
+    assert c.dim == reference_commutant(gens).dim == 3
+
+
+def test_commutant_reports_its_route_and_margins():
+    rng = np.random.default_rng(35)
+    for n, route in ((6, "full"), (7, "eigenspaces")):
+        c = commutant([_cgauss(rng, (n, n))])
+        assert (c.route, c.dim) == (route, 1)
+        assert c.null_max <= c.bar < c.kept_min and c.bar >= DEFAULT_TOL.span_tol
+        if route == "full":
+            assert c.unknowns == n * n and c.window == c.bar
+        else:
+            assert c.unknowns == n and c.bar < c.window < c.kept_min
+    # a rank-one letter at n = 8 leaves a cluster of size 6: 38 > 64 / 2
+    x = np.outer(_cgauss(rng, 8), _cgauss(rng, 8).conj())
+    c = commutant([x])
+    assert (c.route, c.unknowns, c.dim) == ("full", 64, 37)
+
+
+def test_eigenspace_route_allocates_less_than_the_full_fold(monkeypatch):
+    # G'' step two of a hidden M_10 (+) M_10: clusters of 10 and 10, so
+    # sum s_c^2 = n^2 / 2, the most the route takes on, and dim 200
+    c = commutant(_haar_sum((10, 10), np.random.default_rng(36)))
+    assert c.dim == 2
+    peaks = {}
+    for cut in (2, 10**9):
+        monkeypatch.setattr(star_algebra, "_EIGENSPACE_MIN_N", cut)
+        cc = commutant(c)
+        assert (cc.unknowns, cc.dim) == ((200, 200) if cut == 2 else (400, 200))
+        peaks[cc.route] = traced_peak(lambda: commutant(c))
+    assert peaks["eigenspaces"] < peaks["full"]
 
 
 def _routes():
